@@ -1,9 +1,9 @@
 // Index load and handoff-activation benchmarks across all three engines,
-// comparing the flat zero-copy payload against the legacy gob payload of the
-// same designer. CI runs these with -bench 'BenchmarkIndexLoad|BenchmarkHandoffActivate'
-// and converts the output to BENCH_load.json (cmd/benchjson), so the cold
-// start and handoff latency trajectory is tracked across PRs. All loads
-// report MB/s via b.SetBytes for direct payload-size context.
+// over the flat zero-copy payload. CI runs these with -bench
+// 'BenchmarkIndexLoad|BenchmarkHandoffActivate' and converts the output to
+// BENCH_load.json (cmd/benchjson), so the cold start and handoff latency
+// trajectory is tracked across changes. All loads report MB/s via b.SetBytes
+// for direct payload-size context.
 package fairrank_test
 
 import (
@@ -16,14 +16,13 @@ import (
 	"fairrank/internal/datagen"
 )
 
-// loadFixture is one mode's serialized index in both payload formats, plus
-// the dataset/oracle needed to reload it and one fair-ish query to force
-// post-load activation work in the handoff benchmarks.
+// loadFixture is one mode's serialized index, plus the dataset/oracle needed
+// to reload it and one fair-ish query to force post-load activation work in
+// the handoff benchmarks.
 type loadFixture struct {
 	ds     *fairrank.Dataset
 	oracle fairrank.Oracle
 	flat   []byte
-	gob    []byte
 	query  []float64
 }
 
@@ -34,9 +33,8 @@ var (
 
 // loadFixtureFor builds the mode's designer once per process (the exact
 // engine's offline phase is too slow to rebuild per b.N probe) and captures
-// the flat and legacy-gob index streams for it. The exact fixture uses
-// n = 2000 points — large witness and side slabs — with a hyperplane cap so
-// the arrangement build stays tractable while the serialized index is
+// its index stream. The exact fixture uses n = 2000 points — large witness
+// and side slabs — with a hyperplane cap so the arrangement build stays tractable while the serialized index is
 // dominated by per-region data, which is what load time is about.
 func loadFixtureFor(b *testing.B, mode fairrank.Mode) *loadFixture {
 	b.Helper()
@@ -79,35 +77,28 @@ func loadFixtureFor(b *testing.B, mode fairrank.Mode) *loadFixture {
 		loadFixtures[mode] = nil
 		b.Skip("unsatisfiable instance")
 	}
-	var flat, gob bytes.Buffer
+	var flat bytes.Buffer
 	if err := designer.SaveIndex(&flat); err != nil {
-		b.Fatal(err)
-	}
-	if err := designer.SaveIndexLegacy(&gob); err != nil {
 		b.Fatal(err)
 	}
 	query := make([]float64, d)
 	for j := range query {
 		query[j] = 1 / math.Sqrt(float64(d))
 	}
-	fx := &loadFixture{ds: ds, oracle: oracle, flat: flat.Bytes(), gob: gob.Bytes(), query: query}
+	fx := &loadFixture{ds: ds, oracle: oracle, flat: flat.Bytes(), query: query}
 	loadFixtures[mode] = fx
 	return fx
 }
 
 // benchIndexLoad measures a full LoadDesigner over the serialized stream:
-// header parse, payload decode (zero-copy slab aliasing for flat, reflective
-// decode for gob), and engine construction.
-func benchIndexLoad(b *testing.B, mode fairrank.Mode, flat bool) {
+// header parse, payload decode (zero-copy slab aliasing), and engine
+// construction.
+func benchIndexLoad(b *testing.B, mode fairrank.Mode) {
 	fx := loadFixtureFor(b, mode)
-	blob := fx.gob
-	if flat {
-		blob = fx.flat
-	}
-	b.SetBytes(int64(len(blob)))
+	b.SetBytes(int64(len(fx.flat)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fairrank.LoadDesigner(bytes.NewReader(blob), fx.ds, fx.oracle); err != nil {
+		if _, err := fairrank.LoadDesigner(bytes.NewReader(fx.flat), fx.ds, fx.oracle); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -130,12 +121,11 @@ func benchHandoffActivate(b *testing.B, mode fairrank.Mode) {
 	}
 }
 
-func BenchmarkIndexLoad2DFlat(b *testing.B)     { benchIndexLoad(b, fairrank.Mode2D, true) }
-func BenchmarkIndexLoad2DGob(b *testing.B)      { benchIndexLoad(b, fairrank.Mode2D, false) }
-func BenchmarkIndexLoadExactFlat(b *testing.B)  { benchIndexLoad(b, fairrank.ModeExact, true) }
-func BenchmarkIndexLoadExactGob(b *testing.B)   { benchIndexLoad(b, fairrank.ModeExact, false) }
-func BenchmarkIndexLoadApproxFlat(b *testing.B) { benchIndexLoad(b, fairrank.ModeApprox, true) }
-func BenchmarkIndexLoadApproxGob(b *testing.B)  { benchIndexLoad(b, fairrank.ModeApprox, false) }
+// The Flat suffixes keep the names the committed BENCH_load.json baselines
+// are recorded under.
+func BenchmarkIndexLoad2DFlat(b *testing.B)     { benchIndexLoad(b, fairrank.Mode2D) }
+func BenchmarkIndexLoadExactFlat(b *testing.B)  { benchIndexLoad(b, fairrank.ModeExact) }
+func BenchmarkIndexLoadApproxFlat(b *testing.B) { benchIndexLoad(b, fairrank.ModeApprox) }
 
 func BenchmarkHandoffActivate2D(b *testing.B)     { benchHandoffActivate(b, fairrank.Mode2D) }
 func BenchmarkHandoffActivateExact(b *testing.B)  { benchHandoffActivate(b, fairrank.ModeExact) }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"strings"
@@ -14,20 +15,30 @@ import (
 
 	"fairrank/internal/cluster"
 	"fairrank/internal/datagen"
+	"fairrank/internal/service"
 )
 
-// logCapture collects Server cluster-lifecycle log lines so tests can assert
-// handoff-vs-rebuild decisions.
+// logCapture is a slog.Handler collecting the messages of Server
+// cluster-lifecycle log lines so tests can assert handoff-vs-rebuild
+// decisions. The lines they match come from the printf-style sites, which
+// put their whole text in the message, so attributes are dropped.
 type logCapture struct {
 	mu    sync.Mutex
 	lines []string
 }
 
-func (lc *logCapture) logf(format string, args ...any) {
+func (lc *logCapture) Enabled(context.Context, slog.Level) bool { return true }
+
+func (lc *logCapture) Handle(_ context.Context, r slog.Record) error {
 	lc.mu.Lock()
-	lc.lines = append(lc.lines, fmt.Sprintf(format, args...))
+	lc.lines = append(lc.lines, r.Message)
 	lc.mu.Unlock()
+	return nil
 }
+
+func (lc *logCapture) WithAttrs([]slog.Attr) slog.Handler { return lc }
+
+func (lc *logCapture) WithGroup(string) slog.Handler { return lc }
 
 func (lc *logCapture) any(sub string) bool { return lc.anyAfter(0, sub) }
 
@@ -95,7 +106,7 @@ func startGossipNode(t *testing.T, id string, peers []ClusterPeer, antiEntropy t
 		AdvertiseURL:        "http://" + addr,
 		HealthInterval:      50 * time.Millisecond,
 		AntiEntropyInterval: antiEntropy,
-		Logf:                logs.logf,
+		Logger:              slog.New(logs),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -628,7 +639,7 @@ func startReplicaNode(t *testing.T, id string, replicas int, antiEntropy time.Du
 		AdvertiseURL:        "http://" + addr,
 		AntiEntropyInterval: antiEntropy,
 		Replicas:            replicas,
-		Logf:                logs.logf,
+		Logger:              slog.New(logs),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -715,6 +726,94 @@ func TestReplicaReadsByteIdenticalAllEngines(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no read was served from a replica copy; fan-out never engaged")
+	}
+}
+
+// Status and revalidate take the suggest route over a replica set of one:
+// through a follower or an outside-set node they must reach the owner, which
+// answers with its real status (never "remote") and runs the drift check on
+// its own index. Only suggests are replica fan-out reads, so only they move
+// replica_reads_forwarded.
+func TestStatusAndRevalidateRouteToOwner(t *testing.T) {
+	a := startReplicaNode(t, "node-a", 1, 60*time.Millisecond)
+	b := startReplicaNode(t, "node-b", 0, 60*time.Millisecond)
+	c := startReplicaNode(t, "node-c", 0, 60*time.Millisecond)
+	if err := b.srv.JoinCluster(t.Context(), a.url); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.srv.JoinCluster(t.Context(), a.url); err != nil {
+		t.Fatal(err)
+	}
+	byID := map[string]*gossipNode{"node-a": a, "node-b": b, "node-c": c}
+	t.Cleanup(func() { dumpLogsOnFailure(t, byID) })
+	waitFor(t, 15*time.Second, "replica factor gossiped", func() bool {
+		return b.srv.replicaFactor() == 1 && c.srv.replicaFactor() == 1
+	})
+	waitForMembership(t, 3, a, b, c)
+
+	gossipDatasets(t, a.srv)
+	const id = "gossip-2d"
+	if err := a.srv.CreateDesigner(id, gossipSpecs()[id]); err != nil {
+		t.Fatal(err)
+	}
+	set := a.srv.router.ReplicaSet(id, 1)
+	if len(set) != 2 {
+		t.Fatalf("replica set %v, want owner+1 follower", set)
+	}
+	owner, follower := byID[set[0].ID], byID[set[1].ID]
+	var outside *gossipNode
+	for nid, n := range byID {
+		if nid != set[0].ID && nid != set[1].ID {
+			outside = n
+		}
+	}
+	waitFor(t, 60*time.Second, "owner index", func() bool {
+		entry, ok := owner.srv.shard(id).Get(id)
+		return ok && entry.Status().Status == service.StatusReady
+	})
+	waitFor(t, 30*time.Second, "replica copy on the follower", func() bool {
+		return follower.srv.replicas.Generation(id) > 0
+	})
+
+	forwarded := func() int64 {
+		total := int64(0)
+		for _, n := range byID {
+			total += n.srv.router.Stats().ReplicaReadsForwarded.Load()
+		}
+		return total
+	}
+	before := forwarded()
+	for _, n := range []*gossipNode{follower, outside} {
+		via := n.srv.router.NodeID()
+		var st service.StatusInfo
+		if code := doJSON(t, http.MethodGet, n.url+"/v1/designers/"+id+"/status", nil, &st); code != http.StatusOK {
+			t.Fatalf("status via %s: HTTP %d", via, code)
+		}
+		if st.Status != service.StatusReady {
+			t.Fatalf("status via %s: %q, want the owner's %q", via, st.Status, service.StatusReady)
+		}
+		var rv RevalidateResult
+		if code := postJSON(t, n.url+"/v1/designers/"+id+"/revalidate", map[string]string{}, &rv); code != http.StatusOK {
+			t.Fatalf("revalidate via %s: HTTP %d", via, code)
+		}
+		if !rv.Healthy || rv.Rebuilding {
+			t.Fatalf("revalidate via %s: %+v, want a healthy check", via, rv)
+		}
+		// Answering locally would have activated a registry entry here.
+		if _, held := n.srv.shard(id).Get(id); held {
+			t.Fatalf("%s answered locally instead of routing to the owner", via)
+		}
+	}
+	if got := forwarded(); got != before {
+		t.Fatalf("replica_reads_forwarded moved %d -> %d for status/revalidate", before, got)
+	}
+	want, err := owner.srv.Suggest(id, []float64{0.5, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSuggestion(t, "suggest via outside node", suggestVia(t, outside.url, id, []float64{0.5, 0.5}), want)
+	if got := forwarded(); got != before+1 {
+		t.Fatalf("replica_reads_forwarded %d -> %d after one outside-set suggest, want +1", before, got)
 	}
 }
 

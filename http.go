@@ -54,12 +54,13 @@ import (
 //	GET  /cluster/handoff/{id}            → persisted index stream (octet-stream)
 //	POST /cluster/handoff/{id}            index stream → load + activate without rebuild
 //
-// In a cluster, any node accepts any request: per-designer calls are
-// forwarded to the designer's ring owner, and metadata mutations (create,
-// delete) replicate to every peer as versioned entries, with a periodic
-// anti-entropy digest exchange repairing whatever the fan-out missed. A
-// request carrying the X-Fairrank-Forwarded header is always handled
-// locally, so disagreeing ring views bounce a request at most once.
+// In a cluster, any node accepts any request: per-designer calls take one
+// route (replica.go) — suggests to the designer's ring owner or a caught-up
+// follower, status and revalidate to the owner — and metadata mutations
+// (create, delete) replicate to every peer as versioned entries, with a
+// periodic anti-entropy digest exchange repairing whatever the fan-out
+// missed. A request carrying the X-Fairrank-Forwarded header is always
+// handled locally, so disagreeing ring views bounce a request at most once.
 
 // suggestRequest is the body of POST /v1/designers/{id}/suggest: exactly one
 // of Weights (single query) and Batch (many queries) must be set.
@@ -76,7 +77,7 @@ type suggestionJSON struct {
 	Error       string    `json:"error,omitempty"`
 }
 
-func toSuggestionJSON(s *Suggestion, err error) suggestionJSON {
+func toSuggestionJSON(s *service.Suggestion, err error) suggestionJSON {
 	if err != nil {
 		return suggestionJSON{Error: err.Error()}
 	}
@@ -199,41 +200,6 @@ func decodeRaw(w http.ResponseWriter, body []byte, v any) bool {
 		return false
 	}
 	return true
-}
-
-// forwardToOwner proxies a per-designer request to the cluster member that
-// owns id, returning true when the response has been written. Single-node
-// servers and already-forwarded requests are always served locally. A
-// transport failure (nothing written yet) marks the peer down and retries
-// against the recomputed owner — which may be this node: the caller then
-// serves locally, activating the designer's dormant spec (rebuild-on-owner
-// failover).
-func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, id string, body []byte) bool {
-	if s.router.SingleNode() || r.Header.Get(cluster.ForwardHeader) != "" {
-		return false
-	}
-	rec := obs.FromContext(r.Context())
-	for {
-		peer, ok := s.router.RemoteOwner(id)
-		if !ok {
-			return false
-		}
-		sp := rec.Start("forward")
-		if err := peer.Forward(w, r, s.router.NodeID(), body); err != nil {
-			sp.EndNote("failed peer=" + peer.Member().ID)
-			if r.Context().Err() != nil {
-				// The requester itself is gone (disconnect or deadline) —
-				// that is not evidence against the peer, so don't poison
-				// its health; there is nobody left to answer anyway.
-				return true
-			}
-			peer.MarkUnhealthy(err)
-			continue
-		}
-		// Forward merged the remote hop's trailer spans into rec already.
-		sp.EndNote("peer=" + peer.Member().ID)
-		return true
-	}
 }
 
 // replicateMetaKey fans the current versioned entry for key out to every
@@ -431,7 +397,7 @@ func (s *Server) handleListDesigners(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleDesignerStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if s.forwardToOwner(w, r, id, nil) {
+	if _, done := s.route(w, r, id, nil, 0); done {
 		return
 	}
 	st, err := s.DesignerStatus(id)
@@ -452,7 +418,8 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if s.routeSuggest(w, r, id, body) {
+	rep, done := s.route(w, r, id, body, s.replicaFactor())
+	if done {
 		return
 	}
 	var req suggestRequest
@@ -462,27 +429,51 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case req.Weights != nil && req.Batch != nil:
 		writeError(w, http.StatusBadRequest, errors.New(`"weights" and "batch" are mutually exclusive`))
-	case req.Weights != nil:
-		sug, err := s.suggestCtx(r.Context(), id, req.Weights)
+		return
+	case req.Weights == nil && req.Batch == nil:
+		writeError(w, http.StatusBadRequest, errors.New(`body needs "weights" or "batch"`))
+		return
+	}
+	// A follower's fresh replica copy answers without the owner-side memo
+	// cache and per-designer metrics; replica traffic shows up in the
+	// fairrank_replica_reads_total split instead.
+	var src suggester
+	if rep != nil {
+		src = rep
+	} else {
+		entry, err := s.localEntry(id)
+		if err != nil {
+			writeError(w, errorStatus(err), err)
+			return
+		}
+		src = entry
+	}
+	if req.Weights != nil {
+		sug, err := src.SuggestCtx(r.Context(), req.Weights)
 		if err != nil {
 			writeError(w, errorStatus(err), err)
 			return
 		}
 		writeJSON(w, http.StatusOK, toSuggestionJSON(sug, nil))
-	case req.Batch != nil:
-		results, err := s.suggestBatchCtx(r.Context(), id, req.Batch)
-		if err != nil {
-			writeError(w, errorStatus(err), err)
-			return
-		}
-		out := make([]suggestionJSON, len(results))
-		for i, res := range results {
-			out[i] = toSuggestionJSON(res.Suggestion, res.Err)
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"results": out})
-	default:
-		writeError(w, http.StatusBadRequest, errors.New(`body needs "weights" or "batch"`))
+		return
 	}
+	results, err := src.SuggestBatchCtx(r.Context(), req.Batch)
+	if err != nil {
+		writeError(w, errorStatus(err), err)
+		return
+	}
+	out := make([]suggestionJSON, len(results))
+	for i, res := range results {
+		out[i] = toSuggestionJSON(res.Suggestion, res.Err)
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"results": out})
+}
+
+// suggester answers reads on this node: a registry entry, or a follower's
+// replica copy that route found fresh.
+type suggester interface {
+	SuggestCtx(ctx context.Context, w []float64) (*service.Suggestion, error)
+	SuggestBatchCtx(ctx context.Context, ws [][]float64) ([]service.Result, error)
 }
 
 func (s *Server) handleRevalidate(w http.ResponseWriter, r *http.Request) {
@@ -491,7 +482,7 @@ func (s *Server) handleRevalidate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if s.forwardToOwner(w, r, id, body) {
+	if _, done := s.route(w, r, id, body, 0); done {
 		return
 	}
 	var req struct {

@@ -212,7 +212,3 @@ func (e approxEngine) Revalidate(ds *dataset.Dataset, oracle fairness.Oracle) (e
 }
 
 func (e approxEngine) Persist(w io.Writer) error { return e.a.WriteIndex(w) }
-
-// PersistLegacy implements engine.LegacyPersister (migration tests and
-// decode benchmarks only).
-func (e approxEngine) PersistLegacy(w io.Writer) error { return e.a.WriteIndexGob(w) }

@@ -1,12 +1,10 @@
 package cells
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 
 	"fairrank/internal/dataset"
-	"fairrank/internal/engine"
 	"fairrank/internal/fairness"
 	"fairrank/internal/flatidx"
 	"fairrank/internal/geom"
@@ -135,103 +133,4 @@ func LoadIndex(r io.Reader, ds *dataset.Dataset, oracle fairness.Oracle) (*Appro
 		Oracle:    oracle,
 		MarkStats: MarkStats{Marked: marked},
 	}, nil
-}
-
-// gobIndexFile is the legacy PR-2 gob representation, kept so existing
-// stores load (and migrate) instead of rebuilding.
-type gobIndexFile struct {
-	FormatVersion int
-	D, N          int
-	NumCells      int
-	F             [][]float64 // per-cell assigned function (nil = none)
-	Marked        []bool
-}
-
-// gobFormatVersion guards against loading legacy grid indexes written by an
-// incompatible build.
-const gobFormatVersion = 1
-
-// WriteIndexGob writes the legacy gob payload. The serving stack never
-// calls it — migration tests and the load benchmarks use it to manufacture
-// PR-2-era streams.
-func (a *Approx) WriteIndexGob(w io.Writer) error {
-	file := gobIndexFile{
-		FormatVersion: gobFormatVersion,
-		D:             a.DS.D(),
-		N:             a.Grid.N,
-		NumCells:      a.Grid.NumCells(),
-		F:             make([][]float64, a.Grid.NumCells()),
-		Marked:        make([]bool, a.Grid.NumCells()),
-	}
-	for i, c := range a.Grid.Cells {
-		if c.F != nil {
-			file.F[i] = c.F
-		}
-		file.Marked[i] = c.Marked
-	}
-	return gob.NewEncoder(w).Encode(&file)
-}
-
-// LoadIndexGob reconstructs a grid index from a legacy gob payload.
-func LoadIndexGob(r io.Reader, ds *dataset.Dataset, oracle fairness.Oracle) (*Approx, error) {
-	var file gobIndexFile
-	if err := gob.NewDecoder(r).Decode(&file); err != nil {
-		return nil, fmt.Errorf("cells: decoding index: %w", err)
-	}
-	if file.FormatVersion != gobFormatVersion {
-		return nil, fmt.Errorf("cells: index format %d, want %d", file.FormatVersion, gobFormatVersion)
-	}
-	if file.D != ds.D() {
-		return nil, fmt.Errorf("cells: index built for d=%d, dataset has d=%d", file.D, ds.D())
-	}
-	grid, err := NewGrid(file.D, file.N)
-	if err != nil {
-		return nil, err
-	}
-	if grid.NumCells() != file.NumCells {
-		return nil, fmt.Errorf("cells: index has %d cells, partitioning produced %d (incompatible build?)",
-			file.NumCells, grid.NumCells())
-	}
-	if len(file.F) != file.NumCells || len(file.Marked) != file.NumCells {
-		return nil, fmt.Errorf("cells: index has %d/%d cell entries for %d cells",
-			len(file.F), len(file.Marked), file.NumCells)
-	}
-	marked := 0
-	for i, c := range grid.Cells {
-		if file.F[i] != nil {
-			c.F = file.F[i]
-		}
-		c.Marked = file.Marked[i]
-		if c.Marked {
-			marked++
-		}
-	}
-	return &Approx{
-		Grid:      grid,
-		DS:        ds,
-		Oracle:    oracle,
-		MarkStats: MarkStats{Marked: marked},
-	}, nil
-}
-
-// Codec is the grid engine's persistence codec (engine.Codec). The refine
-// option selects the neighbor-considering query variant, matching the
-// refine-queries flag bit of the universal header.
-type Codec struct{}
-
-// Decode implements engine.Codec.
-func (Codec) Decode(r io.Reader, format engine.PayloadFormat, ds *dataset.Dataset, oracle fairness.Oracle, opts engine.DecodeOpts) (engine.Engine, error) {
-	var (
-		a   *Approx
-		err error
-	)
-	if format == engine.PayloadFlat {
-		a, err = LoadIndex(r, ds, oracle)
-	} else {
-		a, err = LoadIndexGob(r, ds, oracle)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return NewEngine(a, opts.Refine), nil
 }

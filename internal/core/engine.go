@@ -159,7 +159,3 @@ func (e mdEngine) Revalidate(ds *dataset.Dataset, oracle fairness.Oracle) (engin
 }
 
 func (e mdEngine) Persist(w io.Writer) error { return e.idx.WriteIndex(w) }
-
-// PersistLegacy implements engine.LegacyPersister (migration tests and
-// decode benchmarks only).
-func (e mdEngine) PersistLegacy(w io.Writer) error { return e.idx.WriteIndexGob(w) }

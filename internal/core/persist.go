@@ -1,13 +1,11 @@
 package core
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 
 	"fairrank/internal/arrangement"
 	"fairrank/internal/dataset"
-	"fairrank/internal/engine"
 	"fairrank/internal/fairness"
 	"fairrank/internal/flatidx"
 	"fairrank/internal/geom"
@@ -253,104 +251,4 @@ func LoadIndex(r io.Reader, ds *dataset.Dataset, oracle fairness.Oracle) (*MDInd
 		querySeed:       meta[6],
 		Sat:             sat,
 	}, nil
-}
-
-// gobIndexFile is the legacy PR-2 gob representation, kept so existing
-// stores load (and migrate) instead of rebuilding.
-type gobIndexFile struct {
-	FormatVersion   int
-	BoxLo, BoxHi    geom.Vector
-	Hyperplanes     []geom.Hyperplane
-	Regions         []*arrangement.Region
-	HyperplaneCount int
-	OracleCalls     int
-	QuerySeed       int64
-}
-
-// gobFormatVersion guards against loading legacy exact indexes written by an
-// incompatible build.
-const gobFormatVersion = 1
-
-// WriteIndexGob writes the legacy gob payload. The serving stack never
-// calls it — migration tests and the load benchmarks use it to manufacture
-// PR-2-era streams.
-func (idx *MDIndex) WriteIndexGob(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(&gobIndexFile{
-		FormatVersion:   gobFormatVersion,
-		BoxLo:           idx.Arr.Box.Lo,
-		BoxHi:           idx.Arr.Box.Hi,
-		Hyperplanes:     idx.Arr.Hyperplanes,
-		Regions:         idx.Arr.Regions(),
-		HyperplaneCount: idx.HyperplaneCount,
-		OracleCalls:     idx.OracleCalls,
-		QuerySeed:       idx.querySeed,
-	})
-}
-
-// LoadIndexGob reconstructs an exact index from a legacy gob payload.
-func LoadIndexGob(r io.Reader, ds *dataset.Dataset, oracle fairness.Oracle) (*MDIndex, error) {
-	var file gobIndexFile
-	if err := gob.NewDecoder(r).Decode(&file); err != nil {
-		return nil, fmt.Errorf("core: decoding index: %w", err)
-	}
-	if file.FormatVersion != gobFormatVersion {
-		return nil, fmt.Errorf("core: index format %d, want %d", file.FormatVersion, gobFormatVersion)
-	}
-	m := ds.D() - 1
-	if len(file.BoxLo) != m || len(file.BoxHi) != m {
-		return nil, fmt.Errorf("core: index box dimension %d, dataset needs %d", len(file.BoxLo), m)
-	}
-	for i, h := range file.Hyperplanes {
-		if len(h.Coef) != m {
-			return nil, fmt.Errorf("core: hyperplane %d has dimension %d, want %d", i, len(h.Coef), m)
-		}
-	}
-	for i, reg := range file.Regions {
-		if reg == nil {
-			return nil, fmt.Errorf("core: nil region %d in index", i)
-		}
-		if len(reg.Witness) != m {
-			return nil, fmt.Errorf("core: region %d witness dimension %d, want %d", i, len(reg.Witness), m)
-		}
-		for _, sh := range reg.Sides {
-			if sh.H < 0 || sh.H >= len(file.Hyperplanes) {
-				return nil, fmt.Errorf("core: region %d references hyperplane %d of %d", i, sh.H, len(file.Hyperplanes))
-			}
-		}
-	}
-	arr := arrangement.Reconstruct(geom.Box{Lo: file.BoxLo, Hi: file.BoxHi}, file.Hyperplanes, file.Regions)
-	idx := &MDIndex{
-		Arr:             arr,
-		Oracle:          oracle,
-		DS:              ds,
-		OracleCalls:     file.OracleCalls,
-		HyperplaneCount: file.HyperplaneCount,
-		querySeed:       file.QuerySeed,
-	}
-	for _, reg := range file.Regions {
-		if reg.Satisfactory {
-			idx.Sat = append(idx.Sat, reg)
-		}
-	}
-	return idx, nil
-}
-
-// Codec is the exact engine's persistence codec (engine.Codec).
-type Codec struct{}
-
-// Decode implements engine.Codec.
-func (Codec) Decode(r io.Reader, format engine.PayloadFormat, ds *dataset.Dataset, oracle fairness.Oracle, _ engine.DecodeOpts) (engine.Engine, error) {
-	var (
-		idx *MDIndex
-		err error
-	)
-	if format == engine.PayloadFlat {
-		idx, err = LoadIndex(r, ds, oracle)
-	} else {
-		idx, err = LoadIndexGob(r, ds, oracle)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return NewEngine(idx), nil
 }

@@ -23,8 +23,7 @@
 //
 // The format is engine-agnostic: each engine package defines its own section
 // kinds and validates cross-section invariants after decoding. The universal
-// stream header of persist.go stays in front of this payload; its flat flag
-// is what selects this decoder over the legacy gob one.
+// stream header of persist.go stays in front of this payload.
 package flatidx
 
 import (

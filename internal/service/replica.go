@@ -1,8 +1,11 @@
 package service
 
 import (
+	"context"
 	"sort"
 	"sync"
+
+	"fairrank/internal/obs"
 )
 
 // Replica is one follower-held copy of a designer's engine: the sealed index
@@ -13,6 +16,28 @@ import (
 type Replica struct {
 	Engine     Engine
 	Generation uint64
+}
+
+// SuggestCtx answers one query straight from the copy, recording the engine
+// call as the "kernel" stage when ctx carries a trace recorder.
+func (r Replica) SuggestCtx(ctx context.Context, w []float64) (*Suggestion, error) {
+	sp := obs.FromContext(ctx).Start("kernel")
+	s, err := r.Engine.Suggest(w)
+	sp.End()
+	return s, err
+}
+
+// SuggestBatchCtx answers a batch straight from the copy: a ContextBatcher
+// engine records its own stages, any other engine's call is the "kernel"
+// stage.
+func (r Replica) SuggestBatchCtx(ctx context.Context, ws [][]float64) ([]Result, error) {
+	if cb, ok := r.Engine.(ContextBatcher); ok {
+		return cb.SuggestBatchCtx(ctx, ws), nil
+	}
+	sp := obs.FromContext(ctx).Start("kernel")
+	results := r.Engine.SuggestBatch(ws)
+	sp.End()
+	return results, nil
 }
 
 // ReplicaStore holds the replica copies a node keeps as a follower, keyed by

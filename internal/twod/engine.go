@@ -130,7 +130,3 @@ func (e indexEngine) Revalidate(ds *dataset.Dataset, oracle fairness.Oracle) (en
 }
 
 func (e indexEngine) Persist(w io.Writer) error { return e.idx.WriteIndex(w) }
-
-// PersistLegacy implements engine.LegacyPersister (migration tests and
-// decode benchmarks only).
-func (e indexEngine) PersistLegacy(w io.Writer) error { return e.idx.WriteIndexGob(w) }

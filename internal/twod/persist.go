@@ -1,15 +1,11 @@
 package twod
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
 	"unsafe"
 
-	"fairrank/internal/dataset"
-	"fairrank/internal/engine"
-	"fairrank/internal/fairness"
 	"fairrank/internal/flatidx"
 	"fairrank/internal/geom"
 )
@@ -103,73 +99,4 @@ func validateIntervals(ivs []Interval) error {
 		}
 	}
 	return nil
-}
-
-// gobIndexFile is the legacy PR-2 gob representation, kept so existing
-// stores load (and migrate) instead of rebuilding.
-type gobIndexFile struct {
-	FormatVersion int
-	Intervals     []Interval
-	ExchangeCount int
-	OracleCalls   int
-	Sectors       int
-}
-
-// gobFormatVersion guards against loading legacy 2D indexes written by an
-// incompatible build.
-const gobFormatVersion = 1
-
-// WriteIndexGob writes the legacy gob payload. The serving stack never
-// calls it — migration tests and the load benchmarks use it to manufacture
-// PR-2-era streams.
-func (idx *Index) WriteIndexGob(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(&gobIndexFile{
-		FormatVersion: gobFormatVersion,
-		Intervals:     idx.intervals,
-		ExchangeCount: idx.ExchangeCount,
-		OracleCalls:   idx.OracleCalls,
-		Sectors:       idx.Sectors,
-	})
-}
-
-// LoadIndexGob reconstructs an index from a legacy gob payload.
-func LoadIndexGob(r io.Reader) (*Index, error) {
-	var file gobIndexFile
-	if err := gob.NewDecoder(r).Decode(&file); err != nil {
-		return nil, fmt.Errorf("twod: decoding index: %w", err)
-	}
-	if file.FormatVersion != gobFormatVersion {
-		return nil, fmt.Errorf("twod: index format %d, want %d", file.FormatVersion, gobFormatVersion)
-	}
-	if err := validateIntervals(file.Intervals); err != nil {
-		return nil, err
-	}
-	return &Index{
-		intervals:     file.Intervals,
-		ExchangeCount: file.ExchangeCount,
-		OracleCalls:   file.OracleCalls,
-		Sectors:       file.Sectors,
-	}, nil
-}
-
-// Codec is the 2D engine's persistence codec (engine.Codec): flat payloads
-// through LoadIndex, legacy gob payloads through LoadIndexGob. The 2D index
-// is self-contained, so the dataset and oracle are unused.
-type Codec struct{}
-
-// Decode implements engine.Codec.
-func (Codec) Decode(r io.Reader, format engine.PayloadFormat, _ *dataset.Dataset, _ fairness.Oracle, _ engine.DecodeOpts) (engine.Engine, error) {
-	var (
-		idx *Index
-		err error
-	)
-	if format == engine.PayloadFlat {
-		idx, err = LoadIndex(r)
-	} else {
-		idx, err = LoadIndexGob(r)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return NewEngine(idx), nil
 }

@@ -74,29 +74,36 @@ func buildEngine(mode Mode, ds *Dataset, oracle Oracle, cfg Config) (engine.Engi
 	}
 }
 
-// codecs maps each mode onto its engine's persistence codec. Like
-// buildEngine, this table is the only place load-time dispatch lives.
-var codecs = map[Mode]engine.Codec{
-	Mode2D:     twod.Codec{},
-	ModeExact:  core.Codec{},
-	ModeApprox: cells.Codec{},
-}
-
-// loadEngine reconstructs a mode's engine adapter from a persisted index
-// payload of either format (the universal header has already been read and
-// validated). Flat-payload damage — bad checksums, truncated sections,
-// implausible slab shapes — surfaces as ErrCorruptIndex.
-func loadEngine(mode Mode, r io.Reader, format engine.PayloadFormat, ds *Dataset, oracle Oracle, refine bool) (engine.Engine, error) {
-	codec, ok := codecs[mode]
-	if !ok {
+// loadEngine reconstructs a mode's engine adapter from a persisted flat
+// payload (the universal header has already been read and validated).
+// Payload damage — bad checksums, truncated sections, implausible slab
+// shapes — surfaces as ErrCorruptIndex.
+func loadEngine(mode Mode, r io.Reader, ds *Dataset, oracle Oracle, refine bool) (engine.Engine, error) {
+	var (
+		eng engine.Engine
+		err error
+	)
+	switch mode {
+	case Mode2D:
+		var idx *twod.Index
+		if idx, err = twod.LoadIndex(r); err == nil {
+			eng = twod.NewEngine(idx)
+		}
+	case ModeExact:
+		var idx *core.MDIndex
+		if idx, err = core.LoadIndex(r, ds, oracle); err == nil {
+			eng = core.NewEngine(idx)
+		}
+	case ModeApprox:
+		var a *cells.Approx
+		if a, err = cells.LoadIndex(r, ds, oracle); err == nil {
+			eng = cells.NewEngine(a, refine)
+		}
+	default:
 		return nil, fmt.Errorf("fairrank: unknown mode %v", mode)
 	}
-	eng, err := codec.Decode(r, format, ds, oracle, engine.DecodeOpts{Refine: refine})
-	if err != nil {
-		if errors.Is(err, flatidx.ErrCorrupt) {
-			return nil, fmt.Errorf("%w: %v", ErrCorruptIndex, err)
-		}
-		return nil, err
+	if errors.Is(err, flatidx.ErrCorrupt) {
+		return nil, fmt.Errorf("%w: %v", ErrCorruptIndex, err)
 	}
-	return eng, nil
+	return eng, err
 }

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"fairrank/internal/engine"
 )
 
 // Index persistence: every engine's offline phase can be saved with
@@ -43,10 +41,9 @@ type indexHeader struct {
 
 // Header flag bits. flagRefineQueries is a query-time designer setting that
 // must survive a save/load cycle for a loaded designer to answer
-// identically; flagFlatPayload records which encoding the engine payload
-// uses — set on every stream this build writes, absent on PR-2-era gob
-// stores, which still load (and are migrated on startup, see
-// Server.loadDesigner).
+// identically; flagFlatPayload marks the flat columnar payload — set on
+// every stream this build writes, absent on gob-payload streams from builds
+// before the flat format, which LoadDesigner refuses (ErrLegacyIndex).
 // flagRevision marks a stream carrying the designer's revision fingerprint
 // (see Designer.Revision) as an 8-byte little-endian word between the header
 // and the engine payload; absent on streams written before datasets became
@@ -60,6 +57,12 @@ const (
 // ErrCorruptIndex reports that a stream is not a fairrank index or was
 // truncated or damaged before the engine payload.
 var ErrCorruptIndex = errors.New("fairrank: corrupt or truncated index stream")
+
+// ErrLegacyIndex reports an index stream whose engine payload is the gob
+// encoding of builds before the flat format (header flag bit 1 clear). This
+// build no longer decodes it: re-save the index with an older build that
+// still reads gob and writes flat, or rebuild it (fairrankd does so on load).
+var ErrLegacyIndex = errors.New("fairrank: index payload is in the retired gob format; re-save it with an older build")
 
 // ErrDatasetMismatch reports that an index was built over a different
 // dataset than the one supplied to LoadDesigner.
@@ -136,43 +139,6 @@ func (d *Designer) SaveIndex(w io.Writer) error {
 	return d.eng.Persist(w)
 }
 
-// SaveIndexLegacy writes the PR-2 stream: the same universal header but a
-// gob engine payload. The serving stack never calls it — it exists so
-// migration tests and cmd/idxtool can manufacture legacy stores against
-// which the auto-migration path is exercised.
-func (d *Designer) SaveIndexLegacy(w io.Writer) error {
-	lp, ok := d.eng.(engine.LegacyPersister)
-	if !ok {
-		return fmt.Errorf("fairrank: engine %T cannot write the legacy format", d.eng)
-	}
-	var flags uint32
-	if d.refine {
-		flags |= flagRefineQueries
-	}
-	if err := writeIndexHeader(w, d.mode, d.ds, flags); err != nil {
-		return err
-	}
-	return lp.PersistLegacy(w)
-}
-
-// IsLegacyIndexStream reports whether b starts with a valid universal header
-// whose payload is the PR-2 gob encoding. It never errors: damaged or
-// foreign bytes report false and are left for LoadDesigner to diagnose.
-// Server startup uses it to decide whether a store it just loaded should be
-// re-saved in the current flat format.
-func IsLegacyIndexStream(b []byte) bool {
-	if len(b) < len(indexMagic)+32 {
-		return false
-	}
-	var magic [8]byte
-	copy(magic[:], b)
-	if magic != indexMagic {
-		return false
-	}
-	flags := binary.LittleEndian.Uint32(b[20:24])
-	return flags&flagFlatPayload == 0
-}
-
 // indexPayloadOffset returns the byte offset of the engine payload in an
 // index stream: the fixed universal header plus the optional revision word.
 // Streams too short or foreign report the fixed header length — callers only
@@ -192,10 +158,10 @@ func indexPayloadOffset(b []byte) int {
 
 // LoadDesigner reconstructs a designer of any engine mode from a SaveIndex
 // stream. ds and oracle must be the ones the index was built for: the
-// header's dataset fingerprint is checked (ErrDatasetMismatch), and damaged
-// streams fail with ErrCorruptIndex or an engine decoding error. A loaded
-// designer returns byte-identical Suggest answers to the designer that
-// wrote the index.
+// header's dataset fingerprint is checked (ErrDatasetMismatch), damaged
+// streams fail with ErrCorruptIndex or an engine decoding error, and
+// gob-payload streams fail with ErrLegacyIndex. A loaded designer returns
+// byte-identical Suggest answers to the designer that wrote the index.
 func LoadDesigner(r io.Reader, ds *Dataset, oracle Oracle) (*Designer, error) {
 	if ds == nil || oracle == nil {
 		return nil, errors.New("fairrank: nil dataset or oracle")
@@ -203,6 +169,9 @@ func LoadDesigner(r io.Reader, ds *Dataset, oracle Oracle) (*Designer, error) {
 	mode, flags, err := readIndexHeader(r, ds)
 	if err != nil {
 		return nil, err
+	}
+	if flags&flagFlatPayload == 0 {
+		return nil, ErrLegacyIndex
 	}
 	refine := flags&flagRefineQueries != 0
 	revision := ds.Fingerprint()
@@ -213,11 +182,7 @@ func LoadDesigner(r io.Reader, ds *Dataset, oracle Oracle) (*Designer, error) {
 		}
 		revision = binary.LittleEndian.Uint64(rev[:])
 	}
-	format := engine.PayloadGob
-	if flags&flagFlatPayload != 0 {
-		format = engine.PayloadFlat
-	}
-	eng, err := loadEngine(mode, r, format, ds, oracle, refine)
+	eng, err := loadEngine(mode, r, ds, oracle, refine)
 	if err != nil {
 		return nil, err
 	}

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"log/slog"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -234,51 +236,33 @@ func sameSuggestions(a, b []*Suggestion) bool {
 	return true
 }
 
-// A PR-2-era gob store must still load — and answer byte-identically to
-// both the original designer and its flat re-save — for every engine. This
-// is the migration guarantee: upgrading a node never forces a rebuild.
-func TestLegacyGobMigrationRoundtripAllModes(t *testing.T) {
+// clearFlatFlag clears the flat-payload flag (header bit 1) of an index
+// stream in place, giving it the header every gob-payload store carries.
+func clearFlatFlag(b []byte) []byte {
+	binary.LittleEndian.PutUint32(b[20:24], binary.LittleEndian.Uint32(b[20:24])&^flagFlatPayload)
+	return b
+}
+
+// legacyStream returns d's index stream with the flat-payload flag cleared.
+func legacyStream(t testing.TB, d *Designer) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := d.SaveIndex(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return clearFlatFlag(buf.Bytes())
+}
+
+// A stream whose header says its payload is not flat — a store written
+// before the flat format — is refused with ErrLegacyIndex for every engine,
+// never decoded as if it were flat.
+func TestLoadDesignerRefusesLegacyPayload(t *testing.T) {
 	for _, mode := range []Mode{Mode2D, ModeExact, ModeApprox} {
 		t.Run(mode.String(), func(t *testing.T) {
-			ds, oracle, d, queries := roundtripFixture(t, mode)
-			want := suggestAll(t, d, queries)
-
-			var legacy, flat bytes.Buffer
-			if err := d.SaveIndexLegacy(&legacy); err != nil {
-				t.Fatalf("SaveIndexLegacy(%v): %v", mode, err)
-			}
-			if err := d.SaveIndex(&flat); err != nil {
-				t.Fatal(err)
-			}
-			if !IsLegacyIndexStream(legacy.Bytes()) {
-				t.Fatal("legacy stream not detected as legacy")
-			}
-			if IsLegacyIndexStream(flat.Bytes()) {
-				t.Fatal("flat stream misdetected as legacy")
-			}
-
-			fromLegacy, err := LoadDesigner(bytes.NewReader(legacy.Bytes()), ds, oracle)
-			if err != nil {
-				t.Fatalf("loading legacy stream: %v", err)
-			}
-			if got := suggestAll(t, fromLegacy, queries); !sameSuggestions(want, got) {
-				t.Fatal("legacy-loaded designer answers differently")
-			}
-			// Migrate: re-save the legacy-loaded designer (what the server
-			// does on startup) and load the flat bytes back.
-			var resaved bytes.Buffer
-			if err := fromLegacy.SaveIndex(&resaved); err != nil {
-				t.Fatal(err)
-			}
-			if IsLegacyIndexStream(resaved.Bytes()) {
-				t.Fatal("re-save kept the legacy format")
-			}
-			fromFlat, err := LoadDesigner(bytes.NewReader(resaved.Bytes()), ds, oracle)
-			if err != nil {
-				t.Fatalf("loading migrated stream: %v", err)
-			}
-			if got := suggestAll(t, fromFlat, queries); !sameSuggestions(want, got) {
-				t.Fatal("migrated designer answers differently")
+			ds, oracle, d, _ := roundtripFixture(t, mode)
+			d2, err := LoadDesigner(bytes.NewReader(legacyStream(t, d)), ds, oracle)
+			if !errors.Is(err, ErrLegacyIndex) || d2 != nil {
+				t.Fatalf("got (%v, %v), want ErrLegacyIndex", d2, err)
 			}
 		})
 	}
@@ -356,18 +340,15 @@ func TestFlatHostileStreamsAllModes(t *testing.T) {
 func FuzzLoadDesigner(f *testing.F) {
 	ds, oracle, exact, _ := roundtripFixture(f, ModeExact)
 	_, _, approx, _ := roundtripFixture(f, ModeApprox)
-	var exactFlat, exactLegacy, approxFlat bytes.Buffer
+	var exactFlat, approxFlat bytes.Buffer
 	if err := exact.SaveIndex(&exactFlat); err != nil {
-		f.Fatal(err)
-	}
-	if err := exact.SaveIndexLegacy(&exactLegacy); err != nil {
 		f.Fatal(err)
 	}
 	if err := approx.SaveIndex(&approxFlat); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(exactFlat.Bytes())
-	f.Add(exactLegacy.Bytes())
+	f.Add(legacyStream(f, exact))
 	f.Add(approxFlat.Bytes())
 	f.Add(exactFlat.Bytes()[:41])
 	f.Add(exactFlat.Bytes()[:len(exactFlat.Bytes())-3])
@@ -384,9 +365,10 @@ func FuzzLoadDesigner(f *testing.F) {
 	})
 }
 
-// Startup auto-migration: a data dir holding a PR-2 gob store loads, serves
-// identically, and is rewritten flat on disk — the slow decode is paid once.
-func TestServerMigratesLegacyStoreOnLoad(t *testing.T) {
+// A data dir holding a gob-payload store from before the flat format is not
+// decoded: the server logs why it skipped the persisted index, rebuilds from
+// the manifest, and answers exactly as before.
+func TestServerRebuildsLegacyStoreOnLoad(t *testing.T) {
 	srv, _ := testServer(t)
 	dir := t.TempDir()
 	ds, err := datagen.Biased(70, 2, 0.5, 0.3, 1, 13)
@@ -416,31 +398,28 @@ func TestServerMigratesLegacyStoreOnLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rewrite the index file in the legacy gob format, as a PR-2 node would
-	// have left it.
 	path := filepath.Join(dir, "x.index")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := spec.Oracle.Build(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := LoadDesigner(bytes.NewReader(raw), ds, oracle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var legacy bytes.Buffer
-	if err := d.SaveIndexLegacy(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, legacy.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, clearFlatFlag(raw), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	restored := NewServer()
+	logs := &logCapture{}
+	restored, err := NewClusterServer(ClusterConfig{Logger: slog.New(logs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
 	if err := restored.LoadDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if !logs.any(`designer "x": persisted index not used, rebuilding: ` + ErrLegacyIndex.Error()) {
+		t.Fatalf("no log line says why the index was not used; log:\n%s", strings.Join(logs.lines, "\n"))
+	}
+	if err := restored.WaitReady(ctx, "x"); err != nil {
 		t.Fatal(err)
 	}
 	got, err := restored.Suggest("x", []float64{0.5, 0.5})
@@ -448,17 +427,7 @@ func TestServerMigratesLegacyStoreOnLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Distance != want.Distance || !reflect.DeepEqual(got.Weights, want.Weights) {
-		t.Fatalf("migrated answer %+v differs from original %+v", got, want)
-	}
-	migrated, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if IsLegacyIndexStream(migrated) {
-		t.Fatal("startup did not rewrite the legacy store in the flat format")
-	}
-	if _, err := LoadDesigner(bytes.NewReader(migrated), ds, oracle); err != nil {
-		t.Fatalf("migrated file does not load: %v", err)
+		t.Fatalf("rebuilt answer %+v differs from original %+v", got, want)
 	}
 }
 

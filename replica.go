@@ -17,9 +17,10 @@ import (
 
 // Read-replica fan-out (docs/REPLICATION.md). The pieces, in request order:
 //
-//   - routeSuggest spreads Suggest/SuggestBatch reads across a designer's
-//     replica set, guarded so a follower never answers from a copy older
-//     than the owner's publication.
+//   - route spreads Suggest/SuggestBatch reads across a designer's replica
+//     set, guarded so a follower never answers from a copy older than the
+//     owner's publication. Status and revalidate take the same route with
+//     a set of one, the owner.
 //   - replicaSync is the owner-side push / follower-side repair loop, run
 //     from every reconcile tick: the owner publishes the generation it
 //     serves as a gossiped "replica/<id>" entry, then streams the sealed
@@ -301,18 +302,17 @@ func (s *Server) replicaLags() map[string]uint64 {
 	return lags
 }
 
-// routeSuggest routes one Suggest/SuggestBatch read across id's replica set,
-// returning true when the response has been written (served by a follower
-// copy, or forwarded). false means the caller serves from local registry
-// state, exactly as before replication: with k=0 this delegates to the
-// plain forward-to-owner path unchanged.
-func (s *Server) routeSuggest(w http.ResponseWriter, r *http.Request, id string, body []byte) bool {
-	k := s.replicaFactor()
-	if k <= 0 || s.router.SingleNode() {
-		return s.forwardToOwner(w, r, id, body)
-	}
-	if r.Header.Get(cluster.ReplicaFinalHeader) != "" {
-		return false // second hop of a stale-follower bounce: serve here, period
+// route plans one per-designer request through cluster.PlanRead over id's
+// replica set — the owner plus k followers, so k = 0 means the owner only —
+// and forwards it when the plan says so. Suggests route with
+// k = replicaFactor(); status and revalidate, which only the owner can
+// answer, with k = 0. done reports that the response has been written.
+// Otherwise the caller answers here: from rep when this node is a follower
+// whose copy has caught up (possible only for k > 0), else from the local
+// registry, activating a dormant spec if this node has become the owner.
+func (s *Server) route(w http.ResponseWriter, r *http.Request, id string, body []byte, k int) (rep *service.Replica, done bool) {
+	if s.router.SingleNode() || r.Header.Get(cluster.ReplicaFinalHeader) != "" {
+		return nil, false // nowhere to forward, or the final hop of a stale-follower bounce
 	}
 	self := s.router.NodeID()
 	stats := s.router.Stats()
@@ -324,15 +324,14 @@ func (s *Server) routeSuggest(w http.ResponseWriter, r *http.Request, id string,
 			s.replicas.Generation(id), s.publishedGeneration(id), s.replicaRR.Add(1))
 		switch plan {
 		case cluster.ReadLocalOwner:
-			return false
+			return nil, false
 		case cluster.ReadLocalReplica:
-			rep, ok := s.replicas.Get(id)
+			held, ok := s.replicas.Get(id)
 			if !ok {
-				return false // copy vanished under us; registry path answers
+				return nil, false // copy vanished under us; registry path answers
 			}
 			stats.ReplicaReadsLocal.Add(1)
-			s.serveSuggestReplica(w, r, id, body, rep)
-			return true
+			return &held, false
 		case cluster.ReadStaleForward:
 			// The stale-read guard: never answer from a copy behind the
 			// publication. An already-forwarded read gets one final marked
@@ -343,28 +342,34 @@ func (s *Server) routeSuggest(w http.ResponseWriter, r *http.Request, id string,
 			}
 		case cluster.ReadForwardOwner, cluster.ReadForwardReplica:
 			if forwardedHop {
-				return false // disagreeing views bounce at most once
+				return nil, false // disagreeing views bounce at most once
 			}
-			stats.ReplicaReadsForwarded.Add(1)
+			if k > 0 { // an owner-only route is a plain forward, not fan-out
+				stats.ReplicaReadsForwarded.Add(1)
+			}
 		}
 		if target.ID == "" || target.ID == self {
-			return false
+			return nil, false
 		}
 		peer, ok := s.router.Peer(target.ID)
 		if !ok {
-			return false
+			return nil, false
 		}
 		sp := rec.Start("forward")
 		if err := peer.Forward(w, r, self, body); err != nil {
 			sp.EndNote("failed peer=" + peer.Member().ID)
 			if r.Context().Err() != nil {
-				return true // requester is gone; don't poison peer health
+				// The requester itself is gone (disconnect or deadline) —
+				// that is not evidence against the peer, so don't poison
+				// its health; there is nobody left to answer anyway.
+				return nil, true
 			}
 			peer.MarkUnhealthy(err)
-			continue // re-plan against the shrunk healthy set
+			continue // re-plan against the shrunk healthy set; may land on self
 		}
+		// Forward merged the remote hop's trailer spans into rec already.
 		sp.EndNote("peer=" + peer.Member().ID)
-		return true
+		return nil, true
 	}
 }
 
@@ -376,59 +381,6 @@ func (s *Server) publishedGeneration(id string) uint64 {
 		return 0
 	}
 	return pub.Generation
-}
-
-// serveSuggestReplica answers a suggest request straight from a follower's
-// replica copy. The engine is identical to the owner's (same pushed bytes,
-// deterministic answers), so the JSON is byte-identical; what a replica read
-// skips is the owner-side memo cache and per-designer metrics — replica
-// traffic shows up in the fairrank_replica_reads_total split instead.
-func (s *Server) serveSuggestReplica(w http.ResponseWriter, r *http.Request, id string, body []byte, rep service.Replica) {
-	_ = id
-	var req suggestRequest
-	if !decodeRaw(w, body, &req) {
-		return
-	}
-	rec := obs.FromContext(r.Context())
-	switch {
-	case req.Weights != nil && req.Batch != nil:
-		writeError(w, http.StatusBadRequest, errors.New(`"weights" and "batch" are mutually exclusive`))
-	case req.Weights != nil:
-		sp := rec.Start("kernel")
-		sug, err := rep.Engine.Suggest(req.Weights)
-		sp.End()
-		if err != nil {
-			writeError(w, errorStatus(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, suggestionJSON{
-			Weights: sug.Weights, Distance: sug.Distance, AlreadyFair: sug.AlreadyFair,
-		})
-	case req.Batch != nil:
-		sp := rec.Start("kernel")
-		var results []service.Result
-		if cb, ok := rep.Engine.(service.ContextBatcher); ok {
-			results = cb.SuggestBatchCtx(r.Context(), req.Batch)
-		} else {
-			results = rep.Engine.SuggestBatch(req.Batch)
-		}
-		sp.End()
-		out := make([]suggestionJSON, len(results))
-		for i, res := range results {
-			if res.Err != nil {
-				out[i] = suggestionJSON{Error: res.Err.Error()}
-				continue
-			}
-			out[i] = suggestionJSON{
-				Weights:     res.Suggestion.Weights,
-				Distance:    res.Suggestion.Distance,
-				AlreadyFair: res.Suggestion.AlreadyFair,
-			}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"results": out})
-	default:
-		writeError(w, http.StatusBadRequest, errors.New(`body needs "weights" or "batch"`))
-	}
 }
 
 // handleReplicaPut receives an owner's replica push: the sealed index stream

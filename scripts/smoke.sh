@@ -4,10 +4,11 @@
 # suggest), then JOIN a third node at runtime and require index handoff (the
 # migrated designer must be loaded from its old owner, never rebuilt), a
 # byte-identical answer through the new owner, a clean SIGTERM drain-leave of
-# the third node, and finally a clean SIGTERM shutdown of the rest with
-# persisted state. A final stage boots a fresh 3-node cluster with
-# -replicas 1, kill -9s a designer's owner mid-traffic, and requires
-# promote-not-rebuild failover with unchanged answers (docs/REPLICATION.md).
+# the third node, a clean SIGTERM shutdown of the rest with persisted state,
+# and a restart of node-0 that must serve from that state. A final stage
+# boots a fresh 3-node cluster with -replicas 1, kill -9s a designer's owner
+# mid-traffic, and requires promote-not-rebuild failover with unchanged
+# answers (docs/REPLICATION.md).
 # CI runs this as its own job; it also works locally:
 #
 #   ./scripts/smoke.sh [base-port]
@@ -108,8 +109,8 @@ echo "$answer0" | grep -q '"distance"'
 [[ "$answer0" == "$answer1" ]] || { echo "answers differ across entry nodes" >&2; exit 1; }
 echo "== suggest answered identically via both nodes"
 
-# smoke-designer-6's answer is the reference for the legacy-store migration
-# check after the final shutdown.
+# smoke-designer-6's answer is the reference for the restart-from-disk check
+# after the final shutdown.
 answer6="$(curl -fs -X POST "${base0}/v1/designers/smoke-designer-6/suggest" \
   -H 'Content-Type: application/json' -d "$query")"
 echo "$answer6" | grep -q '"distance"' || { echo "no answer for smoke-designer-6" >&2; exit 1; }
@@ -307,39 +308,28 @@ ls "${workdir}"/data*/smoke-designer-0.index >/dev/null 2>&1 \
   || { echo "index not persisted anywhere" >&2; exit 1; }
 echo "== clean shutdown, state persisted"
 
-# Migration path: rewrite a persisted index with the legacy gob payload
-# (idxtool), restart the node on it, and require the auto-migration — the
-# store must load, be re-saved flat, and answer the same bytes as before.
-echo "== building idxtool"
-idx="${workdir}/idxtool"
-go build -o "$idx" ./cmd/idxtool
-
-"$idx" -data "${workdir}/data0" -id smoke-designer-6 | grep -q 'flat stream' \
-  || { echo "persisted smoke-designer-6 index is not a flat stream" >&2; exit 1; }
-echo "== persisted index confirmed flat (same format the handoff streamed)"
-
-"$idx" -data "${workdir}/data0" -id smoke-designer-6 -to legacy
-"$idx" -data "${workdir}/data0" -id smoke-designer-6 | grep -q 'legacy stream' \
-  || { echo "idxtool did not produce a legacy stream" >&2; exit 1; }
-
-echo "== restarting node-0 on the legacy store (migrate-on-load)"
+# Restart from disk: node-0 comes back on its saved data dir and must serve
+# smoke-designer-6 from the persisted index — the same bytes as before the
+# shutdown, with no "persisted index not used" fallback rebuild logged.
+echo "== restarting node-0 on its saved data dir"
 "$bin" -addr "127.0.0.1:${port0}" -node-id node-0 -shards 2 \
   -anti-entropy 300ms -health-interval 300ms \
   -data "${workdir}/data0" >"${workdir}/node0-restart.log" 2>&1 &
 pid0=$!
 wait_healthy "$base0" "$pid0" node-0
-grep -q 'migrated legacy index to flat format' "${workdir}/node0-restart.log" \
-  || { echo "restart did not migrate the legacy index" >&2; cat "${workdir}/node0-restart.log" >&2; exit 1; }
-"$idx" -data "${workdir}/data0" -id smoke-designer-6 | grep -q 'flat stream' \
-  || { echo "index still legacy after the migrating restart" >&2; exit 1; }
 answer6b="$(curl -fs -X POST "${base0}/v1/designers/smoke-designer-6/suggest" \
   -H 'Content-Type: application/json' -d "$query")"
-[[ "$answer6b" == "$answer6" ]] || { echo "post-migration answer differs: ${answer6b}" >&2; exit 1; }
+[[ "$answer6b" == "$answer6" ]] || { echo "post-restart answer differs: ${answer6b}" >&2; exit 1; }
+if grep -q 'persisted index not used' "${workdir}/node0-restart.log"; then
+  echo "restarted node-0 did not use its persisted index" >&2
+  cat "${workdir}/node0-restart.log" >&2
+  exit 1
+fi
 
 kill -TERM "$pid0"
 status=0; wait "$pid0" || status=$?
 [[ $status -eq 0 ]] || { echo "restarted node-0 exited with status ${status}" >&2; exit 1; }
-echo "== legacy store migrated on start, answers unchanged: smoke test passed"
+echo "== restart served the persisted index, answers unchanged: smoke test passed"
 
 # ── Replica stage ─────────────────────────────────────────────────────────
 # A fresh 3-node cluster with -replicas 1: the owner of each designer pushes

@@ -146,15 +146,10 @@ type ClusterConfig struct {
 	// returns. 0 disables the pass (metadata then replicates only through
 	// the best-effort create fan-out).
 	AntiEntropyInterval time.Duration
-	// Logf receives cluster lifecycle events (membership changes, index
-	// handoffs, fallback rebuilds) as preformatted lines. nil discards them
-	// unless Logger is set. Retained for embedders that capture log lines;
-	// new code should set Logger.
-	Logf func(format string, args ...any)
-	// Logger is the node's structured logger (lifecycle events, slow-query
-	// records). It takes precedence over Logf; when both are nil, logging is
-	// discarded. cmd/fairrankd wires obs.NewLogger so every line carries the
-	// node id.
+	// Logger is the node's structured logger (lifecycle events such as
+	// membership changes, index handoffs and fallback rebuilds, plus
+	// slow-query records). nil discards logging. cmd/fairrankd wires
+	// obs.NewLogger so every line carries the node id.
 	Logger *slog.Logger
 	// TraceBuffer is the capacity of the in-memory ring of recent request
 	// traces served at GET /debug/traces (default 256).
@@ -205,23 +200,16 @@ func NewClusterServer(cfg ClusterConfig) (*Server, error) {
 		cfgReplicas: cfg.Replicas,
 		pushed:      make(map[string]map[string]uint64),
 		advertise:   strings.TrimSuffix(cfg.AdvertiseURL, "/"),
-		logf:        cfg.Logf,
 		start:       time.Now(),
 		stopc:       make(chan struct{}),
 	}
 	if cfg.Replicas > 0 {
 		s.originateReplicaConfig(cfg.Replicas)
 	}
-	// Logging: one slog.Logger backs both the structured calls (s.log) and
-	// the legacy printf-style sites (s.logf). A caller-provided Logger wins;
-	// a Logf-only config keeps receiving the same preformatted lines through
-	// a bridge handler; neither configured discards.
-	switch {
-	case cfg.Logger != nil:
-		s.log = cfg.Logger
-	case cfg.Logf != nil:
-		s.log = slog.New(&logfHandler{f: cfg.Logf})
-	default:
+	// One slog.Logger backs both the structured calls (s.log) and the
+	// printf-style sites (s.logf), which put their whole text in the message.
+	s.log = cfg.Logger
+	if s.log == nil {
 		s.log = slog.New(slog.DiscardHandler)
 	}
 	s.logf = func(format string, args ...any) { s.log.Info(fmt.Sprintf(format, args...)) }
@@ -239,41 +227,6 @@ func NewClusterServer(cfg ClusterConfig) (*Server, error) {
 	s.startAntiEntropy(cfg.AntiEntropyInterval)
 	return s, nil
 }
-
-// logfHandler adapts a printf-style sink to slog for ClusterConfig.Logf
-// compatibility: the message followed by " key=value" attribute pairs, one
-// line per record.
-type logfHandler struct {
-	f     func(format string, args ...any)
-	attrs []slog.Attr
-}
-
-// Enabled reports that every level is logged — the Logf contract had no
-// levels.
-func (h *logfHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-// Handle formats the record onto the printf sink.
-func (h *logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	for _, a := range h.attrs {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value)
-	}
-	r.Attrs(func(a slog.Attr) bool {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value)
-		return true
-	})
-	h.f("%s", b.String())
-	return nil
-}
-
-// WithAttrs returns a handler that prepends attrs to every record.
-func (h *logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return &logfHandler{f: h.f, attrs: append(append([]slog.Attr(nil), h.attrs...), attrs...)}
-}
-
-// WithGroup flattens groups — the printf sink has no nesting.
-func (h *logfHandler) WithGroup(string) slog.Handler { return h }
 
 // Close stops the server's background peer health and anti-entropy loops.
 // Serving state is untouched; in-flight builds finish on their own
@@ -678,17 +631,11 @@ func (s *Server) stampSpecVersion(info service.StatusInfo) service.StatusInfo {
 
 // Suggest answers one design query against a designer's serving index.
 func (s *Server) Suggest(id string, w []float64) (*Suggestion, error) {
-	return s.suggestCtx(context.Background(), id, w)
-}
-
-// suggestCtx is the HTTP path's Suggest: when ctx carries a trace recorder,
-// the cache and kernel stages land on it.
-func (s *Server) suggestCtx(ctx context.Context, id string, w []float64) (*Suggestion, error) {
 	entry, err := s.localEntry(id)
 	if err != nil {
 		return nil, err
 	}
-	res, err := entry.SuggestCtx(ctx, w)
+	res, err := entry.Suggest(w)
 	if err != nil {
 		return nil, err
 	}
@@ -697,15 +644,11 @@ func (s *Server) suggestCtx(ctx context.Context, id string, w []float64) (*Sugge
 
 // SuggestBatch answers many queries in one call; see Designer.SuggestBatch.
 func (s *Server) SuggestBatch(id string, ws [][]float64) ([]BatchResult, error) {
-	return s.suggestBatchCtx(context.Background(), id, ws)
-}
-
-func (s *Server) suggestBatchCtx(ctx context.Context, id string, ws [][]float64) ([]BatchResult, error) {
 	entry, err := s.localEntry(id)
 	if err != nil {
 		return nil, err
 	}
-	batch, err := entry.SuggestBatchCtx(ctx, ws)
+	batch, err := entry.SuggestBatch(ws)
 	if err != nil {
 		return nil, err
 	}
@@ -1021,36 +964,18 @@ func (s *Server) loadDesigner(dir, id string, spec DesignerSpec) error {
 	if !s.router.OwnedLocally(id) {
 		return nil
 	}
-	path := filepath.Join(dir, id+".index")
-	if raw, err := os.ReadFile(path); err == nil {
-		ds, _ := s.Dataset(spec.Dataset)
-		oracle, oerr := spec.Oracle.Build(ds)
+	raw, err := os.ReadFile(filepath.Join(dir, id+".index"))
+	if err == nil {
 		var d *Designer
-		if oerr == nil {
-			d, oerr = LoadDesigner(bytes.NewReader(raw), ds, oracle)
+		if d, err = s.loadDesignerStream(bytes.NewReader(raw), spec); err == nil {
+			_, err = s.shard(id).CreateReady(id, &designerEngine{d: d}, build)
+			return err
 		}
-		if oerr == nil {
-			// Re-arm the loaded designer with its build configuration so a
-			// later PatchDataset can honor its churn threshold (a loaded index
-			// has no retained build state, so its first patch rebuilds either
-			// way — but with the right Config, not the zero value).
-			if cfg, cerr := spec.Config.Build(); cerr == nil {
-				d.RestoreConfig(cfg)
-			}
-			// Auto-migrate: a store in the PR-2 gob format is re-saved flat
-			// right after it loads, so the slow decode is paid exactly once
-			// per store, not on every restart.
-			if IsLegacyIndexStream(raw) {
-				if werr := writeFileAtomic(path, d.SaveIndex); werr != nil {
-					s.logf("fairrank: designer %q: legacy index loaded but re-save failed: %v", id, werr)
-				} else {
-					s.logf("fairrank: designer %q: migrated legacy index to flat format", id)
-				}
-			}
-			_, rerr := s.shard(id).CreateReady(id, &designerEngine{d: d}, build)
-			return rerr
-		}
-		// Corrupt or mismatched index: fall through to a rebuild.
+	}
+	if !errors.Is(err, os.ErrNotExist) {
+		// Corrupt, mismatched, or gob-payload (ErrLegacyIndex) index: say why
+		// the saved work is being thrown away before paying for a rebuild.
+		s.logf("fairrank: designer %q: persisted index not used, rebuilding: %v", id, err)
 	}
 	_, err = s.shard(id).Create(id, build)
 	return err
