@@ -7,6 +7,7 @@
 package fairrank_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -238,4 +239,69 @@ func BenchmarkBatchExactSuggestBatchHotspot(b *testing.B) {
 		queries[i] = fx.queries[r.Intn(8)]
 	}
 	benchSuggestBatchWith(b, fairrank.ModeExact, queries)
+}
+
+var (
+	exactMDOnce    sync.Once
+	exactMDFixture *batchFixture
+	exactMDErr     error
+)
+
+// exactMDFixtureFor is a d=3 exact designer at explore-md's index cap plus a
+// fixed corpus of unfair queries: every one of them runs MDBASELINE's
+// Frank–Wolfe solve per satisfactory region, the path the d=2, fair-only
+// exact fixture above never reaches.
+func exactMDFixtureFor(b *testing.B) *batchFixture {
+	b.Helper()
+	exactMDOnce.Do(func() {
+		ds, err := datagen.Biased(1000, 3, 0.5, 0.3, 1, 17)
+		if err != nil {
+			exactMDErr = err
+			return
+		}
+		oracle, err := fairrank.MinShare(ds, "group", "protected", 0.2, 0.35)
+		if err != nil {
+			exactMDErr = err
+			return
+		}
+		designer, err := fairrank.NewDesigner(ds, oracle, fairrank.Config{Mode: fairrank.ModeExact, MaxHyperplanes: 40, Workers: -1})
+		if err != nil {
+			exactMDErr = err
+			return
+		}
+		r := rand.New(rand.NewSource(29))
+		var queries [][]float64
+		for tries := 0; len(queries) < 32 && tries < 10000; tries++ {
+			w := []float64{r.Float64() + 1e-3, r.Float64() + 1e-3, r.Float64() + 1e-3}
+			if fair, err := designer.IsFair(w); err == nil && !fair {
+				queries = append(queries, w)
+			}
+		}
+		if len(queries) < 32 {
+			exactMDErr = fmt.Errorf("found %d unfair queries, want 32", len(queries))
+			return
+		}
+		exactMDFixture = &batchFixture{d: designer, queries: queries}
+	})
+	if exactMDErr != nil {
+		b.Fatal(exactMDErr)
+	}
+	return exactMDFixture
+}
+
+// BenchmarkBatchExactSuggestMD answers the whole unfair d=3 corpus per
+// iteration, so the per-direction spread of the solve (a few to tens of
+// milliseconds) averages out of ns/query.
+func BenchmarkBatchExactSuggestMD(b *testing.B) {
+	fx := exactMDFixtureFor(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range fx.queries {
+			if _, err := fx.d.Suggest(q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(fx.queries)), "ns/query")
 }

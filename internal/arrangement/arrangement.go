@@ -33,19 +33,6 @@ type Region struct {
 	Version int
 }
 
-// constraint converts a signed hyperplane reference to an lp constraint.
-// Side Below means h·θ ≤ 1; side Above means h·θ ≥ 1, i.e. −h·θ ≤ −1.
-func constraint(h geom.Hyperplane, s geom.Side) lp.Constraint {
-	if s == geom.Below {
-		return lp.Constraint{A: h.Coef, B: 1}
-	}
-	neg := make([]float64, len(h.Coef))
-	for k, c := range h.Coef {
-		neg[k] = -c
-	}
-	return lp.Constraint{A: neg, B: -1}
-}
-
 // Stats counts the work done during construction; Figures 18 and 19 plot
 // these against the number of inserted hyperplanes.
 type Stats struct {
@@ -65,6 +52,17 @@ type Arrangement struct {
 	useTree bool
 	root    *treeNode
 	rng     *rand.Rand
+	// neg[h] is −Hyperplanes[h].Coef: the normal of side Above as an lp
+	// constraint (−h·θ ≤ −1). Immutable once set, so region constraints
+	// share it instead of negating per call.
+	neg [][]float64
+
+	// Insertion scratch, reused across Insert calls: the LP workspace, the
+	// constraints of a region being re-witnessed, and the half-spaces on
+	// the path from the tree root to the node being visited.
+	ws   lp.Workspace
+	cons []lp.Constraint
+	path []lp.Constraint
 }
 
 // New returns an arrangement over the given box containing a single region
@@ -88,11 +86,39 @@ func New(box geom.Box, useTree bool, rng *rand.Rand) *Arrangement {
 // must not be called on it, which is all the loaded read path of an MDIndex
 // needs.
 func Reconstruct(box geom.Box, hps []geom.Hyperplane, regions []*Region) *Arrangement {
-	return &Arrangement{
+	a := &Arrangement{
 		Box:         box,
 		Hyperplanes: hps,
 		regions:     regions,
+		neg:         make([][]float64, len(hps)),
 	}
+	var total int
+	for _, h := range hps {
+		total += len(h.Coef)
+	}
+	flat := make([]float64, total)
+	for i, h := range hps {
+		n := len(h.Coef)
+		a.neg[i] = negate(flat[:n:n], h.Coef)
+		flat = flat[n:]
+	}
+	return a
+}
+
+func negate(dst, coef []float64) []float64 {
+	for k, c := range coef {
+		dst[k] = -c
+	}
+	return dst
+}
+
+// constraint converts a signed hyperplane reference to an lp constraint.
+// Side Below means h·θ ≤ 1; side Above means h·θ ≥ 1, i.e. −h·θ ≤ −1.
+func (a *Arrangement) constraint(h int, s geom.Side) lp.Constraint {
+	if s == geom.Below {
+		return lp.Constraint{A: a.Hyperplanes[h].Coef, B: 1}
+	}
+	return lp.Constraint{A: a.neg[h], B: -1}
 }
 
 // Regions returns the current regions (shared slice; treat as read-only).
@@ -101,13 +127,15 @@ func (a *Arrangement) Regions() []*Region { return a.regions }
 // NumRegions returns |R|, the arrangement complexity plotted in Figure 19.
 func (a *Arrangement) NumRegions() int { return len(a.regions) }
 
-// Constraints materializes a region's half-space constraints.
-func (a *Arrangement) Constraints(r *Region) []lp.Constraint {
-	cons := make([]lp.Constraint, 0, len(r.Sides))
+// ConstraintsInto appends region r's half-space constraints to dst and
+// returns the extended slice. The coefficient vectors are the arrangement's
+// own (shared, read-only), so a caller reusing dst across regions allocates
+// nothing once dst has grown.
+func (a *Arrangement) ConstraintsInto(dst []lp.Constraint, r *Region) []lp.Constraint {
 	for _, sh := range r.Sides {
-		cons = append(cons, constraint(a.Hyperplanes[sh.H], sh.S))
+		dst = append(dst, a.constraint(sh.H, sh.S))
 	}
-	return cons
+	return dst
 }
 
 // Insert adds a hyperplane to the arrangement, splitting every region whose
@@ -116,36 +144,43 @@ func (a *Arrangement) Constraints(r *Region) []lp.Constraint {
 func (a *Arrangement) Insert(h geom.Hyperplane) {
 	hi := len(a.Hyperplanes)
 	a.Hyperplanes = append(a.Hyperplanes, h)
+	a.neg = append(a.neg, negate(make([]float64, len(h.Coef)), h.Coef))
 	if a.useTree {
-		a.insertTree(a.root, h, hi, nil)
+		a.insertTree(a.root, h, hi, 0)
 		return
 	}
-	// Baseline: scan every region (SATREGIONS without the tree).
-	for _, r := range append([]*Region(nil), a.regions...) {
-		a.trySplit(r, h, hi, a.Constraints(r))
+	// Baseline: scan every region (SATREGIONS without the tree). The range
+	// expression is evaluated once, so regions split off during the scan
+	// are not revisited.
+	for _, r := range a.regions {
+		a.cons = a.ConstraintsInto(a.cons[:0], r)
+		a.trySplit(r, h, hi, a.cons)
 	}
 }
 
 // trySplit checks whether h crosses region r (given r's constraints) and, if
 // it does, splits r in place: r keeps side Below and a new region takes side
-// Above. It returns the new region, or nil when there is no crossing.
+// Above. It returns the new region, or nil when there is no crossing. cons
+// may be a.cons, which trySplit reuses once the crossing test is done.
 func (a *Arrangement) trySplit(r *Region, h geom.Hyperplane, hi int, cons []lp.Constraint) *Region {
 	a.Stats.IntersectionChecks++
 	a.Stats.LPCalls++
-	if _, ok := lp.FeasibleOnHyperplane(h.Coef, 1, cons, a.Box.Lo, a.Box.Hi, MinMargin, a.rng); !ok {
+	if _, ok := a.ws.FeasibleOnHyperplane(h.Coef, 1, cons, a.Box.Lo, a.Box.Hi, MinMargin, a.rng); !ok {
 		return nil
 	}
 	a.Stats.Splits++
 	other := &Region{Sides: append(append([]SignedHP(nil), r.Sides...), SignedHP{H: hi, S: geom.Above})}
 	r.Sides = append(r.Sides, SignedHP{H: hi, S: geom.Below})
-	// Refresh witnesses on both sides.
+	// Refresh witnesses on both sides, copied out of the LP workspace.
 	a.Stats.LPCalls += 2
-	if w, _, err := lp.InteriorPoint(a.Constraints(r), a.Box.Lo, a.Box.Hi, a.rng); err == nil {
-		r.Witness = geom.Vector(w)
+	a.cons = a.ConstraintsInto(a.cons[:0], r)
+	if w, _, err := a.ws.InteriorPoint(a.cons, a.Box.Lo, a.Box.Hi, a.rng); err == nil {
+		r.Witness = append(geom.Vector(nil), w...)
 		r.Version++
 	}
-	if w, _, err := lp.InteriorPoint(a.Constraints(other), a.Box.Lo, a.Box.Hi, a.rng); err == nil {
-		other.Witness = geom.Vector(w)
+	a.cons = a.ConstraintsInto(a.cons[:0], other)
+	if w, _, err := a.ws.InteriorPoint(a.cons, a.Box.Lo, a.Box.Hi, a.rng); err == nil {
+		other.Witness = append(geom.Vector(nil), w...)
 		other.Version++
 	}
 	a.regions = append(a.regions, other)
@@ -164,11 +199,12 @@ type treeNode struct {
 func (n *treeNode) isLeaf() bool { return n.region != nil }
 
 // insertTree is AT+: descend the tree, pruning subtrees whose accumulated
-// half-space constraints the new hyperplane cannot cross.
-func (a *Arrangement) insertTree(n *treeNode, h geom.Hyperplane, hi int, cons []lp.Constraint) {
+// half-space constraints the new hyperplane cannot cross. a.path[:depth]
+// holds the half-spaces from the root down to n.
+func (a *Arrangement) insertTree(n *treeNode, h geom.Hyperplane, hi, depth int) {
 	if n.isLeaf() {
 		r := n.region
-		if other := a.trySplit(r, h, hi, cons); other != nil {
+		if other := a.trySplit(r, h, hi, a.path[:depth]); other != nil {
 			// The leaf becomes an internal node for hyperplane hi.
 			n.h = hi
 			n.region = nil
@@ -177,16 +213,15 @@ func (a *Arrangement) insertTree(n *treeNode, h geom.Hyperplane, hi int, cons []
 		}
 		return
 	}
-	node := a.Hyperplanes[n.h]
-	consL := append(append([]lp.Constraint(nil), cons...), constraint(node, geom.Below))
+	a.path = append(a.path[:depth], a.constraint(n.h, geom.Below))
 	a.Stats.LPCalls++
-	if _, ok := lp.FeasibleOnHyperplane(h.Coef, 1, consL, a.Box.Lo, a.Box.Hi, MinMargin, a.rng); ok {
-		a.insertTree(n.left, h, hi, consL)
+	if _, ok := a.ws.FeasibleOnHyperplane(h.Coef, 1, a.path, a.Box.Lo, a.Box.Hi, MinMargin, a.rng); ok {
+		a.insertTree(n.left, h, hi, depth+1)
 	}
-	consR := append(append([]lp.Constraint(nil), cons...), constraint(node, geom.Above))
+	a.path = append(a.path[:depth], a.constraint(n.h, geom.Above))
 	a.Stats.LPCalls++
-	if _, ok := lp.FeasibleOnHyperplane(h.Coef, 1, consR, a.Box.Lo, a.Box.Hi, MinMargin, a.rng); ok {
-		a.insertTree(n.right, h, hi, consR)
+	if _, ok := a.ws.FeasibleOnHyperplane(h.Coef, 1, a.path, a.Box.Lo, a.Box.Hi, MinMargin, a.rng); ok {
+		a.insertTree(n.right, h, hi, depth+1)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"fairrank/internal/dataset"
 	"fairrank/internal/fairness"
 	"fairrank/internal/geom"
+	"fairrank/internal/lp"
 	"fairrank/internal/nlp"
 	"fairrank/internal/ranking"
 )
@@ -182,19 +183,24 @@ func (idx *MDIndex) closest(w geom.Vector) (geom.Vector, float64, error) {
 	// A fresh rng per call keeps Baseline deterministic (two identical
 	// queries — or a query before and after save/load — get identical
 	// answers) and free of shared mutable state, so concurrent callers
-	// never race.
+	// never race. For the same reason the solver workspace and the
+	// constraint buffer are per call, shared by all satisfactory regions.
 	rng := rand.New(rand.NewSource(idx.querySeed))
+	var (
+		ws   nlp.Workspace
+		cons []lp.Constraint
+	)
 	best := math.Inf(1)
 	var bestAng geom.Angles
 	for _, reg := range idx.Sat {
-		cons := idx.Arr.Constraints(reg)
-		p, dist, err := nlp.ClosestAnglePoint(q, cons, idx.Arr.Box, nlp.Options{}, rng)
+		cons = idx.Arr.ConstraintsInto(cons[:0], reg)
+		p, dist, err := ws.ClosestAnglePoint(q, cons, idx.Arr.Box, nlp.Options{}, rng)
 		if err != nil {
 			continue // degenerate region; skip
 		}
 		if dist < best {
 			best = dist
-			bestAng = p
+			bestAng = append(bestAng[:0], p...) // p aliases ws
 		}
 	}
 	if bestAng == nil {

@@ -203,8 +203,9 @@ func TestCorrelatedAntiCorrelated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Anti-correlated data has a much larger skyline than correlated data.
-	cs := len(cor.Skyline())
-	as := len(anti.Skyline())
+	// The skyline is the top-1 candidate set: items no other item dominates.
+	cs := len(cor.TopKCandidates(1))
+	as := len(anti.TopKCandidates(1))
 	if as <= cs {
 		t.Errorf("skylines: anti %d should exceed correlated %d", as, cs)
 	}

@@ -1,16 +1,6 @@
 package dataset
 
-import (
-	"sort"
-
-	"fairrank/internal/geom"
-)
-
-// Dominates reports whether item i dominates item j (every scoring attribute
-// ≥, at least one >).
-func (ds *Dataset) Dominates(i, j int) bool {
-	return geom.Dominates(ds.items[i], ds.items[j])
-}
+import "fairrank/internal/geom"
 
 // DominatedCounts returns, for every item, the number of items that dominate
 // it. O(n²·d); used by the top-k pruning filter and by tests.
@@ -25,64 +15,6 @@ func (ds *Dataset) DominatedCounts() []int {
 		}
 	}
 	return counts
-}
-
-// Skyline returns the indices of items dominated by no other item.
-func (ds *Dataset) Skyline() []int {
-	var sky []int
-	for i, c := range ds.DominatedCounts() {
-		if c == 0 {
-			sky = append(sky, i)
-		}
-	}
-	return sky
-}
-
-// DominanceLayers peels the dataset into layers: layer 0 is the skyline,
-// layer 1 the skyline of the remainder, and so on. Every item appears in
-// exactly one layer.
-func (ds *Dataset) DominanceLayers() [][]int {
-	n := ds.N()
-	remaining := make([]bool, n)
-	for i := range remaining {
-		remaining[i] = true
-	}
-	left := n
-	var layers [][]int
-	for left > 0 {
-		var layer []int
-		for i := 0; i < n; i++ {
-			if !remaining[i] {
-				continue
-			}
-			dominated := false
-			for j := 0; j < n; j++ {
-				if j != i && remaining[j] && geom.Dominates(ds.items[j], ds.items[i]) {
-					dominated = true
-					break
-				}
-			}
-			if !dominated {
-				layer = append(layer, i)
-			}
-		}
-		if len(layer) == 0 {
-			// Duplicates can deadlock naive peeling (equal items never
-			// strictly dominate each other, so they always appear; if we got
-			// here something is wrong — emit the remainder as one layer).
-			for i := 0; i < n; i++ {
-				if remaining[i] {
-					layer = append(layer, i)
-				}
-			}
-		}
-		for _, i := range layer {
-			remaining[i] = false
-		}
-		left -= len(layer)
-		layers = append(layers, layer)
-	}
-	return layers
 }
 
 // TopKCandidates returns the indices of items that can appear in the top k
@@ -106,76 +38,4 @@ func (ds *Dataset) TopKCandidates(k int) []int {
 		}
 	}
 	return out
-}
-
-// ConvexLayers2D computes the exact convex layers (the "onion" of [10]) of a
-// 2-attribute dataset: layer 0 is the upper-right convex hull chain, layer 1
-// the chain of the remainder, etc. Only the upper-right staircase hull
-// matters for maximization under non-negative linear functions. It panics if
-// D() != 2.
-func (ds *Dataset) ConvexLayers2D() [][]int {
-	if ds.D() != 2 {
-		panic("dataset: ConvexLayers2D requires exactly 2 scoring attributes")
-	}
-	n := ds.N()
-	remaining := make([]int, n)
-	for i := range remaining {
-		remaining[i] = i
-	}
-	var layers [][]int
-	for len(remaining) > 0 {
-		hull := upperRightHull(ds.items, remaining)
-		layers = append(layers, hull)
-		inHull := map[int]bool{}
-		for _, i := range hull {
-			inHull[i] = true
-		}
-		next := remaining[:0]
-		for _, i := range remaining {
-			if !inHull[i] {
-				next = append(next, i)
-			}
-		}
-		remaining = next
-	}
-	return layers
-}
-
-// upperRightHull returns the subset of indices on the upper-right convex
-// chain: the points that maximize w·t for some w ≥ 0. Sorted by x descending
-// then y ascending, then a monotone-chain scan keeping right turns.
-func upperRightHull(items []geom.Vector, idx []int) []int {
-	pts := append([]int(nil), idx...)
-	sort.Slice(pts, func(a, b int) bool {
-		pa, pb := items[pts[a]], items[pts[b]]
-		if pa[0] != pb[0] {
-			return pa[0] > pb[0]
-		}
-		return pa[1] > pb[1]
-	})
-	// Walk from max-x to max-y keeping only points making a convex chain
-	// and strictly increasing y.
-	var chain []int
-	bestY := -1.0
-	for _, p := range pts {
-		pt := items[p]
-		if pt[1] <= bestY {
-			continue // dominated in y by a point with larger-or-equal x
-		}
-		bestY = pt[1]
-		for len(chain) >= 2 {
-			a := items[chain[len(chain)-2]]
-			b := items[chain[len(chain)-1]]
-			// Cross product of (b−a)×(pt−a); keep convex (left turns seen
-			// from below, since we walk with decreasing x).
-			cross := (b[0]-a[0])*(pt[1]-a[1]) - (b[1]-a[1])*(pt[0]-a[0])
-			if cross <= geom.Eps {
-				chain = chain[:len(chain)-1]
-			} else {
-				break
-			}
-		}
-		chain = append(chain, p)
-	}
-	return chain
 }

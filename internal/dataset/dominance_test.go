@@ -16,33 +16,6 @@ func TestDominatedCountsFig3(t *testing.T) {
 			t.Errorf("item %d dominated %d times, want 0", i, c)
 		}
 	}
-	if len(ds.Skyline()) != 5 {
-		t.Errorf("skyline size %d, want 5", len(ds.Skyline()))
-	}
-}
-
-func TestDominanceLayersChain(t *testing.T) {
-	// A strict chain: each layer has exactly one item.
-	ds, _ := New([]string{"x", "y"}, [][]float64{{3, 3}, {2, 2}, {1, 1}})
-	layers := ds.DominanceLayers()
-	if len(layers) != 3 {
-		t.Fatalf("layers = %v", layers)
-	}
-	if layers[0][0] != 0 || layers[1][0] != 1 || layers[2][0] != 2 {
-		t.Errorf("layer order wrong: %v", layers)
-	}
-}
-
-func TestDominanceLayersDuplicates(t *testing.T) {
-	ds, _ := New([]string{"x", "y"}, [][]float64{{1, 1}, {1, 1}, {2, 2}})
-	layers := ds.DominanceLayers()
-	total := 0
-	for _, l := range layers {
-		total += len(l)
-	}
-	if total != 3 {
-		t.Errorf("layers lose items: %v", layers)
-	}
 }
 
 func TestTopKCandidatesCorrectness(t *testing.T) {
@@ -97,86 +70,4 @@ func TestTopKCandidatesAllWhenKLarge(t *testing.T) {
 	if got := ds.TopKCandidates(10); len(got) != 5 {
 		t.Errorf("want all items, got %v", got)
 	}
-}
-
-func TestConvexLayers2DTriangle(t *testing.T) {
-	// Outer hull {(4,0),(3,3),(0,4)}, inner point (1,1).
-	ds, _ := New([]string{"x", "y"}, [][]float64{
-		{4, 0}, {3, 3}, {0, 4}, {1, 1},
-	})
-	layers := ds.ConvexLayers2D()
-	if len(layers) != 2 {
-		t.Fatalf("layers = %v", layers)
-	}
-	if len(layers[0]) != 3 {
-		t.Errorf("outer layer = %v", layers[0])
-	}
-	if len(layers[1]) != 1 || layers[1][0] != 3 {
-		t.Errorf("inner layer = %v", layers[1])
-	}
-}
-
-func TestConvexLayers2DCoversAll(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	for iter := 0; iter < 30; iter++ {
-		n := 2 + r.Intn(40)
-		rows := make([][]float64, n)
-		for i := range rows {
-			rows[i] = []float64{r.Float64() * 10, r.Float64() * 10}
-		}
-		ds, _ := New([]string{"x", "y"}, rows)
-		layers := ds.ConvexLayers2D()
-		seen := map[int]bool{}
-		for _, l := range layers {
-			for _, i := range l {
-				if seen[i] {
-					t.Fatalf("item %d in two layers", i)
-				}
-				seen[i] = true
-			}
-		}
-		if len(seen) != n {
-			t.Fatalf("layers cover %d of %d items", len(seen), n)
-		}
-	}
-}
-
-// Property: the first convex layer contains the top-1 item of every
-// non-negative linear function.
-func TestConvexLayerContainsTop1(t *testing.T) {
-	r := rand.New(rand.NewSource(19))
-	for iter := 0; iter < 40; iter++ {
-		n := 3 + r.Intn(30)
-		rows := make([][]float64, n)
-		for i := range rows {
-			rows[i] = []float64{r.Float64() * 10, r.Float64() * 10}
-		}
-		ds, _ := New([]string{"x", "y"}, rows)
-		layer0 := map[int]bool{}
-		for _, i := range ds.ConvexLayers2D()[0] {
-			layer0[i] = true
-		}
-		for trial := 0; trial < 20; trial++ {
-			w := geom.Vector{r.Float64() + 1e-6, r.Float64() + 1e-6}
-			best, bestScore := -1, -1.0
-			for i := 0; i < n; i++ {
-				if s := w.Dot(ds.Item(i)); s > bestScore {
-					best, bestScore = i, s
-				}
-			}
-			if !layer0[best] {
-				t.Fatalf("iter %d: top-1 %d (%v) not on first convex layer", iter, best, ds.Item(best))
-			}
-		}
-	}
-}
-
-func TestConvexLayers2DPanicsOnWrongD(t *testing.T) {
-	ds, _ := New([]string{"a", "b", "c"}, [][]float64{{1, 2, 3}})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ds.ConvexLayers2D()
 }

@@ -30,9 +30,10 @@ func BenchmarkSeidel(b *testing.B) {
 					p.Cons = append(p.Cons, Constraint{A: a, B: 1 + r.Float64()})
 				}
 				rng := rand.New(rand.NewSource(2))
+				var ws Workspace
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := Solve(p, rng); err != nil && err != ErrInfeasible {
+					if _, err := ws.Solve(p, rng); err != nil && err != ErrInfeasible {
 						b.Fatal(err)
 					}
 				}
@@ -55,9 +56,10 @@ func BenchmarkInteriorPoint(b *testing.B) {
 	lo := make([]float64, d)
 	hi := []float64{1, 1, 1}
 	rng := rand.New(rand.NewSource(4))
+	var ws Workspace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := InteriorPoint(cons, lo, hi, rng); err != nil && err != ErrInfeasible {
+		if _, _, err := ws.InteriorPoint(cons, lo, hi, rng); err != nil && err != ErrInfeasible {
 			b.Fatal(err)
 		}
 	}
@@ -78,8 +80,9 @@ func BenchmarkFeasibleOnHyperplane(b *testing.B) {
 	lo := make([]float64, d)
 	hi := []float64{1, 1, 1, 1}
 	rng := rand.New(rand.NewSource(6))
+	var ws Workspace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FeasibleOnHyperplane(g, 2, cons, lo, hi, 1e-7, rng)
+		ws.FeasibleOnHyperplane(g, 2, cons, lo, hi, 1e-7, rng)
 	}
 }

@@ -11,6 +11,13 @@
 // suited than tableau simplex, whose tableaus would be m×m for these shapes.
 // Problems are always bounded by an explicit box, so unboundedness cannot
 // arise.
+//
+// Every entry point is a method of Workspace, which keeps the recursion's
+// reduced problems, the augmented interior-point program and the hyperplane
+// reduction in flat buffers that grow to the largest problem seen and are
+// then reused, so a warm workspace solves without allocating. A slice a
+// method returns aliases the workspace and is valid only until its next
+// call; a Workspace is not safe for concurrent use.
 package lp
 
 import (
@@ -33,13 +40,7 @@ type Constraint struct {
 }
 
 // Norm returns the Euclidean norm of the constraint's normal vector.
-func (c Constraint) Norm() float64 {
-	var s float64
-	for _, a := range c.A {
-		s += a * a
-	}
-	return math.Sqrt(s)
-}
+func (c Constraint) Norm() float64 { return norm(c.A) }
 
 // Problem is a bounded linear program: maximize C·x subject to Cons and the
 // box Lo ≤ x ≤ Hi. The box is mandatory; it both guarantees boundedness and
@@ -62,10 +63,8 @@ func (p *Problem) validate() error {
 	if len(p.Lo) != d || len(p.Hi) != d {
 		return fmt.Errorf("lp: box dimension mismatch: c=%d lo=%d hi=%d", d, len(p.Lo), len(p.Hi))
 	}
-	for k := 0; k < d; k++ {
-		if p.Lo[k] > p.Hi[k]+Tol {
-			return fmt.Errorf("lp: empty box in dimension %d: [%v, %v]", k, p.Lo[k], p.Hi[k])
-		}
+	if err := checkBox(p.Lo, p.Hi); err != nil {
+		return err
 	}
 	for i, c := range p.Cons {
 		if len(c.A) != d {
@@ -75,57 +74,167 @@ func (p *Problem) validate() error {
 	return nil
 }
 
+func checkBox(lo, hi []float64) error {
+	for k := range lo {
+		if lo[k] > hi[k]+Tol {
+			return fmt.Errorf("lp: empty box in dimension %d: [%v, %v]", k, lo[k], hi[k])
+		}
+	}
+	return nil
+}
+
+// level is the scratch of one depth of Seidel's recursion: a problem in n
+// variables whose constraint rows are stored flat, row i being
+// a[i·n : (i+1)·n] ≤ b[i].
+type level struct {
+	n            int
+	c, lo, hi, x []float64
+	a, b         []float64
+}
+
+// reset sizes the level for an n-variable problem with up to m rows.
+func (l *level) reset(n, m int) {
+	l.n = n
+	l.c = grow(l.c, n)
+	l.lo = grow(l.lo, n)
+	l.hi = grow(l.hi, n)
+	l.x = grow(l.x, n)
+	l.a = grow(l.a, m*n)
+	l.b = grow(l.b, m)
+}
+
+func (l *level) row(i int) []float64 { return l.a[i*l.n : (i+1)*l.n : (i+1)*l.n] }
+
+// swap exchanges rows i and j (the shuffle's permutation step).
+func (l *level) swap(i, j int) {
+	ri, rj := l.row(i), l.row(j)
+	for k := range ri {
+		ri[k], rj[k] = rj[k], ri[k]
+	}
+	l.b[i], l.b[j] = l.b[j], l.b[i]
+}
+
+// grow returns s resliced to length n, reallocating only when its capacity
+// is short. Contents are unspecified; callers overwrite what they read.
+func grow(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n, 2*n)
+	}
+	return s[:n]
+}
+
+// Workspace holds the reusable buffers of every solver entry point. The zero
+// value is ready to use.
+type Workspace struct {
+	// lv[n] is the recursion level of n-variable problems; lv[0] is unused.
+	lv []level
+	// zero is an all-zero row standing in for the eliminated variable's box
+	// bounds, x_k ≤ hi_k and −x_k ≤ −lo_k, whose other coefficients vanish.
+	zero []float64
+	// FeasibleOnHyperplane's reduction: the hyperplane's closest point p0,
+	// the unit normal and null-space basis (rows of length d), the reduced
+	// constraints (tcons over the flat rows ta), the t-space box, a unit row
+	// for the box bounds, and the lifted witness.
+	p0, unit, basis, ta []float64
+	tcons               []Constraint
+	tlo, thi, ek, hx    []float64
+}
+
+// prepare sizes levels 1..n for a top problem in n variables with m rows.
+// Eliminating one variable adds at most one row net (a pinned constraint
+// goes, the two box bounds of its variable come in), so level n−j never
+// holds more than m+j rows. Sizing every level before the recursion starts
+// keeps pointers into ws.lv stable throughout.
+func (ws *Workspace) prepare(n, m int) *level {
+	if len(ws.lv) <= n {
+		lv := make([]level, n+1)
+		copy(lv, ws.lv)
+		ws.lv = lv
+	}
+	for j := n; j >= 1; j-- {
+		ws.lv[j].reset(j, m+n-j)
+	}
+	if len(ws.zero) < n {
+		ws.zero = make([]float64, n)
+	}
+	return &ws.lv[n]
+}
+
 // Solve maximizes the problem. rng drives the constraint shuffle that gives
 // Seidel's algorithm its expected-linear running time; pass a seeded source
 // for reproducibility. It returns ErrInfeasible when no point satisfies all
 // constraints and the box.
-func Solve(p *Problem, rng *rand.Rand) ([]float64, error) {
+func (ws *Workspace) Solve(p *Problem, rng *rand.Rand) ([]float64, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	cons := make([]Constraint, len(p.Cons))
-	copy(cons, p.Cons)
-	rng.Shuffle(len(cons), func(i, j int) { cons[i], cons[j] = cons[j], cons[i] })
-	return seidel(p.C, cons, p.Lo, p.Hi)
+	d, m := p.Dim(), len(p.Cons)
+	top := ws.prepare(d, m)
+	copy(top.c, p.C)
+	copy(top.lo, p.Lo)
+	copy(top.hi, p.Hi)
+	for i, con := range p.Cons {
+		copy(top.row(i), con.A)
+		top.b[i] = con.B
+	}
+	return ws.shuffleSolve(top, m, rng)
 }
 
-// seidel solves max c·x s.t. cons, lo ≤ x ≤ hi, assuming cons is already in
-// random order. Constraints must not be mutated (they may be shared).
-func seidel(c []float64, cons []Constraint, lo, hi []float64) ([]float64, error) {
-	d := len(c)
-	if d == 1 {
-		return seidel1D(c[0], cons, lo[0], hi[0])
+// Maximize is Solve over the problem {c, cons, box lo ≤ x ≤ hi}.
+func (ws *Workspace) Maximize(c []float64, cons []Constraint, lo, hi []float64, rng *rand.Rand) ([]float64, error) {
+	return ws.Solve(&Problem{C: c, Cons: cons, Lo: lo, Hi: hi}, rng)
+}
+
+// shuffleSolve puts the top level's m rows in random order and runs Seidel's
+// recursion on them.
+func (ws *Workspace) shuffleSolve(top *level, m int, rng *rand.Rand) ([]float64, error) {
+	rng.Shuffle(m, top.swap)
+	return ws.seidel(top, m)
+}
+
+// seidel solves max c·x s.t. the level's first m rows and its box, assuming
+// the rows are already in random order. The result is the level's x.
+func (ws *Workspace) seidel(l *level, m int) ([]float64, error) {
+	if l.n == 1 {
+		return seidel1D(l, m)
 	}
-	x := boxOptimum(c, lo, hi)
-	for i, con := range cons {
-		scale := 1 + con.Norm() + math.Abs(con.B)
-		if dot(con.A, x) <= con.B+Tol*scale {
+	x := l.x
+	for k := range x {
+		if l.c[k] >= 0 {
+			x[k] = l.hi[k]
+		} else {
+			x[k] = l.lo[k]
+		}
+	}
+	for i := 0; i < m; i++ {
+		a, b := l.row(i), l.b[i]
+		scale := 1 + norm(a) + math.Abs(b)
+		if dot(a, x) <= b+Tol*scale {
 			continue
 		}
-		// The optimum of cons[:i+1] lies on con's boundary: reduce to d−1
+		// The optimum of rows[:i+1] lies on row i's boundary: reduce to n−1
 		// variables by eliminating the coordinate with the largest |A_k|.
-		k := argmaxAbs(con.A)
-		if math.Abs(con.A[k]) < Tol*scale {
+		k := argmaxAbs(a)
+		if math.Abs(a[k]) < Tol*scale {
 			// Degenerate constraint 0·x ≤ B with B < current value: infeasible.
 			return nil, ErrInfeasible
 		}
-		red, err := reduceProblem(c, cons[:i], lo, hi, con, k)
+		sub := &ws.lv[l.n-1]
+		ws.reduce(l, sub, i, k)
+		xr, err := ws.seidel(sub, i+2)
 		if err != nil {
 			return nil, err
 		}
-		xr, err := seidel(red.C, red.Cons, red.Lo, red.Hi)
-		if err != nil {
-			return nil, err
-		}
-		x = liftSolution(xr, con, k)
+		lift(x, xr, a, b, k)
 	}
 	return x, nil
 }
 
 // seidel1D maximizes c·x over an interval intersected with scalar constraints.
-func seidel1D(c float64, cons []Constraint, lo, hi float64) ([]float64, error) {
-	for _, con := range cons {
-		a, b := con.A[0], con.B
+func seidel1D(l *level, m int) ([]float64, error) {
+	c, lo, hi := l.c[0], l.lo[0], l.hi[0]
+	for i := 0; i < m; i++ {
+		a, b := l.a[i], l.b[i]
 		scale := 1 + math.Abs(a) + math.Abs(b)
 		switch {
 		case math.Abs(a) < Tol:
@@ -138,100 +247,86 @@ func seidel1D(c float64, cons []Constraint, lo, hi float64) ([]float64, error) {
 			lo = math.Max(lo, b/a)
 		}
 	}
+	x := l.x[:1]
 	if lo > hi {
 		if lo-hi <= Tol*(1+math.Abs(lo)+math.Abs(hi)) {
-			m := (lo + hi) / 2
-			return []float64{m}, nil
+			x[0] = (lo + hi) / 2
+			return x, nil
 		}
 		return nil, ErrInfeasible
 	}
 	if c >= 0 {
-		return []float64{hi}, nil
+		x[0] = hi
+	} else {
+		x[0] = lo
 	}
-	return []float64{lo}, nil
+	return x, nil
 }
 
-// reduced is a (d−1)-dimensional subproblem produced by pinning a constraint.
-type reduced struct {
-	C    []float64
-	Cons []Constraint
-	Lo   []float64
-	Hi   []float64
-}
-
-// reduceProblem substitutes x_k = (B − Σ_{j≠k} A_j x_j)/A_k into the
-// objective, the prior constraints, and the box bounds of x_k (which become
-// ordinary linear constraints in the reduced space).
-func reduceProblem(c []float64, prior []Constraint, lo, hi []float64, con Constraint, k int) (*reduced, error) {
-	d := len(c)
-	ak := con.A[k]
-	r := &reduced{
-		C:    make([]float64, 0, d-1),
-		Cons: make([]Constraint, 0, len(prior)+2),
-		Lo:   make([]float64, 0, d-1),
-		Hi:   make([]float64, 0, d-1),
-	}
-	for j := 0; j < d; j++ {
+// reduce writes into sub the (n−1)-variable problem of pinning row i of l to
+// equality: it substitutes x_k = (B − Σ_{j≠k} A_j x_j)/A_k into the
+// objective, the prior rows 0..i−1, and the box bounds of x_k, which become
+// rows i and i+1 of sub.
+func (ws *Workspace) reduce(l, sub *level, i, k int) {
+	con, conB := l.row(i), l.b[i]
+	ak := con[k]
+	jr := 0
+	for j := 0; j < l.n; j++ {
 		if j == k {
 			continue
 		}
-		r.C = append(r.C, c[j]-c[k]*con.A[j]/ak)
-		r.Lo = append(r.Lo, lo[j])
-		r.Hi = append(r.Hi, hi[j])
+		sub.c[jr] = l.c[j] - l.c[k]*con[j]/ak
+		sub.lo[jr] = l.lo[j]
+		sub.hi[jr] = l.hi[j]
+		jr++
 	}
-	transform := func(g []float64, gk, gb float64) Constraint {
-		a := make([]float64, 0, d-1)
-		for j := 0; j < d; j++ {
+	transform := func(r int, g []float64, gk, gb float64) {
+		dst := sub.row(r)
+		jr := 0
+		for j := 0; j < l.n; j++ {
 			if j == k {
 				continue
 			}
-			a = append(a, g[j]-gk*con.A[j]/ak)
+			dst[jr] = g[j] - gk*con[j]/ak
+			jr++
 		}
-		return Constraint{A: a, B: gb - gk*con.B/ak}
+		sub.b[r] = gb - gk*conB/ak
 	}
-	for _, g := range prior {
-		r.Cons = append(r.Cons, transform(g.A, g.A[k], g.B))
+	for r := 0; r < i; r++ {
+		g := l.row(r)
+		transform(r, g, g[k], l.b[r])
 	}
-	// Box bounds on the eliminated variable: x_k ≤ hi_k and −x_k ≤ −lo_k.
-	ek := make([]float64, d)
-	r.Cons = append(r.Cons, transform(ek, 1, hi[k]))
-	r.Cons = append(r.Cons, transform(ek, -1, -lo[k]))
-	return r, nil
+	zero := ws.zero[:l.n]
+	transform(i, zero, 1, l.hi[k])
+	transform(i+1, zero, -1, -l.lo[k])
 }
 
-// liftSolution reinserts the eliminated coordinate.
-func liftSolution(xr []float64, con Constraint, k int) []float64 {
-	d := len(xr) + 1
-	x := make([]float64, d)
+// lift reinserts the eliminated coordinate k into x from the reduced
+// solution xr and the pinned row a·x = b.
+func lift(x, xr, a []float64, b float64, k int) {
 	j := 0
-	for i := 0; i < d; i++ {
+	for i := range x {
 		if i == k {
 			continue
 		}
 		x[i] = xr[j]
 		j++
 	}
-	s := con.B
-	for i := 0; i < d; i++ {
+	s := b
+	for i := range x {
 		if i != k {
-			s -= con.A[i] * x[i]
+			s -= a[i] * x[i]
 		}
 	}
-	x[k] = s / con.A[k]
-	return x
+	x[k] = s / a[k]
 }
 
-// boxOptimum returns the box corner maximizing c·x.
-func boxOptimum(c, lo, hi []float64) []float64 {
-	x := make([]float64, len(c))
-	for k := range c {
-		if c[k] >= 0 {
-			x[k] = hi[k]
-		} else {
-			x[k] = lo[k]
-		}
+func norm(a []float64) float64 {
+	var s float64
+	for _, v := range a {
+		s += v * v
 	}
-	return x
+	return math.Sqrt(s)
 }
 
 func dot(a, b []float64) float64 {

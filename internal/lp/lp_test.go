@@ -9,13 +9,14 @@ import (
 func rng() *rand.Rand { return rand.New(rand.NewSource(42)) }
 
 func TestSolve1D(t *testing.T) {
+	var ws Workspace
 	p := &Problem{
 		C:    []float64{1},
 		Cons: []Constraint{{A: []float64{2}, B: 3}}, // 2x ≤ 3
 		Lo:   []float64{0},
 		Hi:   []float64{10},
 	}
-	x, err := Solve(p, rng())
+	x, err := ws.Solve(p, rng())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +25,7 @@ func TestSolve1D(t *testing.T) {
 	}
 	// Minimize by negating.
 	p.C = []float64{-1}
-	x, err = Solve(p, rng())
+	x, err = ws.Solve(p, rng())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,18 +35,20 @@ func TestSolve1D(t *testing.T) {
 }
 
 func TestSolve1DInfeasible(t *testing.T) {
+	var ws Workspace
 	p := &Problem{
 		C:    []float64{1},
 		Cons: []Constraint{{A: []float64{1}, B: -1}}, // x ≤ −1 with x ≥ 0
 		Lo:   []float64{0},
 		Hi:   []float64{10},
 	}
-	if _, err := Solve(p, rng()); err != ErrInfeasible {
+	if _, err := ws.Solve(p, rng()); err != ErrInfeasible {
 		t.Errorf("want ErrInfeasible, got %v", err)
 	}
 }
 
 func TestSolve2DKnown(t *testing.T) {
+	var ws Workspace
 	// max x+y s.t. x+2y ≤ 4, 3x+y ≤ 6, box [0,10]². Optimum at
 	// intersection: x=8/5, y=6/5, value 14/5.
 	p := &Problem{
@@ -57,7 +60,7 @@ func TestSolve2DKnown(t *testing.T) {
 		Lo: []float64{0, 0},
 		Hi: []float64{10, 10},
 	}
-	x, err := Solve(p, rng())
+	x, err := ws.Solve(p, rng())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +70,13 @@ func TestSolve2DKnown(t *testing.T) {
 }
 
 func TestSolveBoxOnly(t *testing.T) {
+	var ws Workspace
 	p := &Problem{
 		C:  []float64{1, -2, 0},
 		Lo: []float64{-1, -1, -1},
 		Hi: []float64{2, 3, 4},
 	}
-	x, err := Solve(p, rng())
+	x, err := ws.Solve(p, rng())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +86,7 @@ func TestSolveBoxOnly(t *testing.T) {
 }
 
 func TestSolveDegenerateZeroRow(t *testing.T) {
+	var ws Workspace
 	// 0·x ≤ −1 is unconditionally infeasible.
 	p := &Problem{
 		C:    []float64{1, 1},
@@ -89,24 +94,25 @@ func TestSolveDegenerateZeroRow(t *testing.T) {
 		Lo:   []float64{0, 0},
 		Hi:   []float64{1, 1},
 	}
-	if _, err := Solve(p, rng()); err != ErrInfeasible {
+	if _, err := ws.Solve(p, rng()); err != ErrInfeasible {
 		t.Errorf("want ErrInfeasible, got %v", err)
 	}
 	// 0·x ≤ 1 is vacuous.
 	p.Cons[0].B = 1
-	if _, err := Solve(p, rng()); err != nil {
+	if _, err := ws.Solve(p, rng()); err != nil {
 		t.Errorf("vacuous constraint should not fail: %v", err)
 	}
 }
 
 func TestValidateErrors(t *testing.T) {
-	if _, err := Solve(&Problem{}, rng()); err == nil {
+	var ws Workspace
+	if _, err := ws.Solve(&Problem{}, rng()); err == nil {
 		t.Error("expected error for empty problem")
 	}
-	if _, err := Solve(&Problem{C: []float64{1}, Lo: []float64{1}, Hi: []float64{0}}, rng()); err == nil {
+	if _, err := ws.Solve(&Problem{C: []float64{1}, Lo: []float64{1}, Hi: []float64{0}}, rng()); err == nil {
 		t.Error("expected error for empty box")
 	}
-	if _, err := Solve(&Problem{C: []float64{1}, Lo: []float64{0}, Hi: []float64{1},
+	if _, err := ws.Solve(&Problem{C: []float64{1}, Lo: []float64{0}, Hi: []float64{1},
 		Cons: []Constraint{{A: []float64{1, 2}, B: 0}}}, rng()); err == nil {
 		t.Error("expected error for constraint dimension mismatch")
 	}
@@ -146,6 +152,7 @@ func bruteForceMax(p *Problem, steps int) (best []float64, ok bool) {
 // Property: on random 2D/3D problems the Seidel optimum matches a grid-based
 // brute force within grid resolution, and it is always feasible.
 func TestSolveAgainstBruteForce(t *testing.T) {
+	var ws Workspace
 	r := rand.New(rand.NewSource(77))
 	for iter := 0; iter < 200; iter++ {
 		d := 2 + r.Intn(2)
@@ -167,7 +174,7 @@ func TestSolveAgainstBruteForce(t *testing.T) {
 			}
 			p.Cons = append(p.Cons, Constraint{A: a, B: r.NormFloat64()})
 		}
-		x, err := Solve(p, r)
+		x, err := ws.Solve(p, r)
 		bf, bfOK := bruteForceMax(p, 24)
 		if err == ErrInfeasible {
 			// Brute force may find a feasible grid point only if the region
@@ -208,9 +215,10 @@ func TestSolveAgainstBruteForce(t *testing.T) {
 }
 
 func TestInteriorPoint(t *testing.T) {
+	var ws Workspace
 	// Unit square with x+y ≤ 1: most interior point margin is positive.
 	cons := []Constraint{{A: []float64{1, 1}, B: 1}}
-	x, margin, err := InteriorPoint(cons, []float64{0, 0}, []float64{1, 1}, rng())
+	x, margin, err := ws.InteriorPoint(cons, []float64{0, 0}, []float64{1, 1}, rng())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,38 +231,42 @@ func TestInteriorPoint(t *testing.T) {
 }
 
 func TestInteriorPointEmpty(t *testing.T) {
+	var ws Workspace
 	cons := []Constraint{
 		{A: []float64{1, 0}, B: 0.2},   // x ≤ 0.2
 		{A: []float64{-1, 0}, B: -0.8}, // x ≥ 0.8
 	}
-	_, _, err := InteriorPoint(cons, []float64{0, 0}, []float64{1, 1}, rng())
+	_, _, err := ws.InteriorPoint(cons, []float64{0, 0}, []float64{1, 1}, rng())
 	if err != ErrInfeasible {
 		t.Errorf("want ErrInfeasible, got %v", err)
 	}
 }
 
+// A region is feasible when its most interior point clears the margin.
 func TestFeasible(t *testing.T) {
-	cons := []Constraint{{A: []float64{1, 1}, B: 1}}
-	if _, ok := Feasible(cons, []float64{0, 0}, []float64{1, 1}, 1e-6, rng()); !ok {
+	var ws Workspace
+	feasible := func(cons []Constraint) bool {
+		_, margin, err := ws.InteriorPoint(cons, []float64{0, 0}, []float64{1, 1}, rng())
+		return err == nil && margin > 1e-6
+	}
+	if !feasible([]Constraint{{A: []float64{1, 1}, B: 1}}) {
 		t.Error("expected feasible")
 	}
-	bad := []Constraint{
-		{A: []float64{1, 0}, B: -1},
-	}
-	if _, ok := Feasible(bad, []float64{0, 0}, []float64{1, 1}, 1e-6, rng()); ok {
+	if feasible([]Constraint{{A: []float64{1, 0}, B: -1}}) {
 		t.Error("expected infeasible")
 	}
 }
 
 func TestFeasibleOnHyperplane(t *testing.T) {
+	var ws Workspace
 	// Plane x+y = 1 crosses the unit square interior.
-	if x, ok := FeasibleOnHyperplane([]float64{1, 1}, 1, nil, []float64{0, 0}, []float64{1, 1}, 1e-6, rng()); !ok {
+	if x, ok := ws.FeasibleOnHyperplane([]float64{1, 1}, 1, nil, []float64{0, 0}, []float64{1, 1}, 1e-6, rng()); !ok {
 		t.Error("expected crossing")
 	} else if math.Abs(x[0]+x[1]-1) > 1e-7 {
 		t.Errorf("witness off the hyperplane: %v", x)
 	}
 	// Plane x+y = 5 misses the unit square.
-	if _, ok := FeasibleOnHyperplane([]float64{1, 1}, 5, nil, []float64{0, 0}, []float64{1, 1}, 1e-6, rng()); ok {
+	if _, ok := ws.FeasibleOnHyperplane([]float64{1, 1}, 5, nil, []float64{0, 0}, []float64{1, 1}, 1e-6, rng()); ok {
 		t.Error("expected no crossing")
 	}
 	// With a region constraint cutting away the crossing: x ≤ 0.1 and
@@ -263,19 +275,20 @@ func TestFeasibleOnHyperplane(t *testing.T) {
 		{A: []float64{1, 0}, B: 0.1},
 		{A: []float64{0, 1}, B: 0.1},
 	}
-	if _, ok := FeasibleOnHyperplane([]float64{1, 1}, 1, cons, []float64{0, 0}, []float64{1, 1}, 1e-6, rng()); ok {
+	if _, ok := ws.FeasibleOnHyperplane([]float64{1, 1}, 1, cons, []float64{0, 0}, []float64{1, 1}, 1e-6, rng()); ok {
 		t.Error("expected no crossing after region cut")
 	}
 }
 
 func TestFeasibleOnHyperplane1D(t *testing.T) {
-	if x, ok := FeasibleOnHyperplane([]float64{2}, 1, nil, []float64{0}, []float64{1}, 0, rng()); !ok || math.Abs(x[0]-0.5) > 1e-9 {
+	var ws Workspace
+	if x, ok := ws.FeasibleOnHyperplane([]float64{2}, 1, nil, []float64{0}, []float64{1}, 0, rng()); !ok || math.Abs(x[0]-0.5) > 1e-9 {
 		t.Errorf("1D hyperplane point wrong: %v %v", x, ok)
 	}
-	if _, ok := FeasibleOnHyperplane([]float64{2}, 5, nil, []float64{0}, []float64{1}, 0, rng()); ok {
+	if _, ok := ws.FeasibleOnHyperplane([]float64{2}, 5, nil, []float64{0}, []float64{1}, 0, rng()); ok {
 		t.Error("1D point outside box should fail")
 	}
-	if _, ok := FeasibleOnHyperplane([]float64{0}, 1, nil, []float64{0}, []float64{1}, 0, rng()); ok {
+	if _, ok := ws.FeasibleOnHyperplane([]float64{0}, 1, nil, []float64{0}, []float64{1}, 0, rng()); ok {
 		t.Error("zero functional should fail")
 	}
 }
@@ -284,20 +297,21 @@ func TestFeasibleOnHyperplane1D(t *testing.T) {
 // as crossing it (regression: duplicate hyperplanes used to re-split
 // arrangement regions).
 func TestFeasibleOnHyperplaneOwnBoundary(t *testing.T) {
+	var ws Workspace
 	g := []float64{1, 1}
 	// Region: g·x ≤ 1 (the hyperplane is the boundary).
 	cons := []Constraint{{A: []float64{1, 1}, B: 1}}
-	if _, ok := FeasibleOnHyperplane(g, 1, cons, []float64{0, 0}, []float64{2, 2}, 1e-7, rng()); ok {
+	if _, ok := ws.FeasibleOnHyperplane(g, 1, cons, []float64{0, 0}, []float64{2, 2}, 1e-7, rng()); ok {
 		t.Error("hyperplane touching only the region boundary must not cross")
 	}
 	// Region: g·x ≤ 1.5 — the hyperplane g·x = 1 passes through the interior.
 	cons2 := []Constraint{{A: []float64{1, 1}, B: 1.5}}
-	if _, ok := FeasibleOnHyperplane(g, 1, cons2, []float64{0, 0}, []float64{2, 2}, 1e-7, rng()); !ok {
+	if _, ok := ws.FeasibleOnHyperplane(g, 1, cons2, []float64{0, 0}, []float64{2, 2}, 1e-7, rng()); !ok {
 		t.Error("parallel but slack constraint should not block the crossing")
 	}
 	// Region entirely on the far side: g·x ≥ 1.5 (−g·x ≤ −1.5).
 	cons3 := []Constraint{{A: []float64{-1, -1}, B: -1.5}}
-	if _, ok := FeasibleOnHyperplane(g, 1, cons3, []float64{0, 0}, []float64{2, 2}, 1e-7, rng()); ok {
+	if _, ok := ws.FeasibleOnHyperplane(g, 1, cons3, []float64{0, 0}, []float64{2, 2}, 1e-7, rng()); ok {
 		t.Error("hyperplane disjoint from the region must not cross")
 	}
 }
@@ -305,6 +319,7 @@ func TestFeasibleOnHyperplaneOwnBoundary(t *testing.T) {
 // Property: FeasibleOnHyperplane witnesses satisfy all constraints and lie on
 // the hyperplane, across random instances.
 func TestFeasibleOnHyperplaneProperty(t *testing.T) {
+	var ws Workspace
 	r := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 300; iter++ {
 		d := 2 + r.Intn(4)
@@ -326,7 +341,7 @@ func TestFeasibleOnHyperplaneProperty(t *testing.T) {
 			cons = append(cons, Constraint{A: a, B: r.Float64()})
 		}
 		g0 := r.NormFloat64()
-		x, ok := FeasibleOnHyperplane(g, g0, cons, lo, hi, 1e-7, r)
+		x, ok := ws.FeasibleOnHyperplane(g, g0, cons, lo, hi, 1e-7, r)
 		if !ok {
 			continue
 		}

@@ -17,39 +17,44 @@ import (
 // what SATREGIONS needs before sampling a ranking function inside a region;
 // a margin near zero means the region is degenerate (a sliver on a
 // hyperplane).
-func InteriorPoint(cons []Constraint, lo, hi []float64, rng *rand.Rand) (x []float64, margin float64, err error) {
+func (ws *Workspace) InteriorPoint(cons []Constraint, lo, hi []float64, rng *rand.Rand) (x []float64, margin float64, err error) {
 	d := len(lo)
-	// Variables y = (x, s). Maximize s.
-	c := make([]float64, d+1)
-	c[d] = 1
-	aug := make([]Constraint, 0, len(cons)+2*d)
-	for _, con := range cons {
-		a := make([]float64, d+1)
-		copy(a, con.A)
-		a[d] = con.Norm()
-		aug = append(aug, Constraint{A: a, B: con.B})
+	// Variables y = (x, s), maximize s. The augmented program is written
+	// straight into the top recursion level: len(cons) constraint rows, then
+	// the box with slack, x_k + s ≤ hi_k and −x_k + s ≤ −lo_k.
+	m := len(cons) + 2*d
+	top := ws.prepare(d+1, m)
+	clear(top.c)
+	top.c[d] = 1
+	for i, con := range cons {
+		row := top.row(i)
+		clear(row)
+		copy(row, con.A)
+		row[d] = con.Norm()
+		top.b[i] = con.B
 	}
-	// Box with slack: x_k + s ≤ hi_k and −x_k + s ≤ −lo_k.
 	for k := 0; k < d; k++ {
-		up := make([]float64, d+1)
+		up, dn := top.row(len(cons)+2*k), top.row(len(cons)+2*k+1)
+		clear(up)
 		up[k], up[d] = 1, 1
-		aug = append(aug, Constraint{A: up, B: hi[k]})
-		dn := make([]float64, d+1)
+		top.b[len(cons)+2*k] = hi[k]
+		clear(dn)
 		dn[k], dn[d] = -1, 1
-		aug = append(aug, Constraint{A: dn, B: -lo[k]})
+		top.b[len(cons)+2*k+1] = -lo[k]
 	}
 	// Bounding box for y: x within a slightly inflated box, s within
 	// [−1, maxRange] (negative s admits infeasible-by-a-hair diagnostics).
-	ylo := make([]float64, d+1)
-	yhi := make([]float64, d+1)
 	maxRange := 1.0
 	for k := 0; k < d; k++ {
-		ylo[k] = lo[k] - 1
-		yhi[k] = hi[k] + 1
+		top.lo[k] = lo[k] - 1
+		top.hi[k] = hi[k] + 1
 		maxRange = math.Max(maxRange, hi[k]-lo[k])
 	}
-	ylo[d], yhi[d] = -1, maxRange
-	y, err := Solve(&Problem{C: c, Cons: aug, Lo: ylo, Hi: yhi}, rng)
+	top.lo[d], top.hi[d] = -1, maxRange
+	if err := checkBox(top.lo, top.hi); err != nil {
+		return nil, 0, err
+	}
+	y, err := ws.shuffleSolve(top, m, rng)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -58,16 +63,6 @@ func InteriorPoint(cons []Constraint, lo, hi []float64, rng *rand.Rand) (x []flo
 		return nil, margin, ErrInfeasible
 	}
 	return y[:d], margin, nil
-}
-
-// Feasible reports whether the region {Cons, box} has a point with margin
-// greater than minMargin, returning a witness when it does.
-func Feasible(cons []Constraint, lo, hi []float64, minMargin float64, rng *rand.Rand) ([]float64, bool) {
-	x, margin, err := InteriorPoint(cons, lo, hi, rng)
-	if err != nil || margin <= minMargin {
-		return nil, false
-	}
-	return x, true
 }
 
 // FeasibleOnHyperplane reports whether the hyperplane {x : g·x = g0}
@@ -79,7 +74,7 @@ func Feasible(cons []Constraint, lo, hi []float64, minMargin float64, rng *rand.
 // null-space basis of g, so the search runs in d−1 free variables. This is
 // the primitive behind "does hyperplane h pass through region σ" in
 // Algorithms 4, 5 and 9.
-func FeasibleOnHyperplane(g []float64, g0 float64, cons []Constraint, lo, hi []float64, minMargin float64, rng *rand.Rand) ([]float64, bool) {
+func (ws *Workspace) FeasibleOnHyperplane(g []float64, g0 float64, cons []Constraint, lo, hi []float64, minMargin float64, rng *rand.Rand) ([]float64, bool) {
 	d := len(g)
 	var gg float64
 	for _, v := range g {
@@ -88,9 +83,11 @@ func FeasibleOnHyperplane(g []float64, g0 float64, cons []Constraint, lo, hi []f
 	if gg < Tol*Tol {
 		return nil, false
 	}
+	ws.hx = grow(ws.hx, d)
+	x := ws.hx
 	if d == 1 {
 		// Zero free variables: the single point x = g0/g.
-		x := []float64{g0 / g[0]}
+		x[0] = g0 / g[0]
 		if x[0] < lo[0]-Tol || x[0] > hi[0]+Tol {
 			return nil, false
 		}
@@ -101,24 +98,34 @@ func FeasibleOnHyperplane(g []float64, g0 float64, cons []Constraint, lo, hi []f
 		}
 		return x, true
 	}
-	p0 := make([]float64, d)
+	ws.p0 = grow(ws.p0, d)
+	p0 := ws.p0
 	for k := range p0 {
 		p0[k] = g[k] * g0 / gg
 	}
-	basis, err := matrix.NullSpaceOfRow(g)
-	if err != nil {
+	m := d - 1 // free variables
+	ws.unit = grow(ws.unit, d)
+	ws.basis = grow(ws.basis, m*d)
+	if err := matrix.NullSpaceOfRowInto(g, ws.unit, ws.basis); err != nil {
 		return nil, false
 	}
-	m := len(basis) // d−1 free variables
+	basis := ws.basis
 	// Transform each constraint a·x ≤ b into a'·t ≤ b − a·p0 with
-	// a'_i = a·U_i; likewise the box bounds of every coordinate.
-	tcons := make([]Constraint, 0, len(cons)+2*d)
+	// a'_i = a·U_i; likewise the box bounds of every coordinate. The rows
+	// live in ta, which the inner InteriorPoint never writes.
+	rows := len(cons) + 2*d
+	ws.ta = grow(ws.ta, rows*m)
+	if cap(ws.tcons) < rows {
+		ws.tcons = make([]Constraint, 0, 2*rows)
+	}
+	tcons := ws.tcons[:0]
 	blocked := false
 	addRow := func(a []float64, b float64) {
-		at := make([]float64, m)
+		r := len(tcons)
+		at := ws.ta[r*m : (r+1)*m : (r+1)*m]
 		var atNorm float64
-		for i, u := range basis {
-			at[i] = dot(a, u)
+		for i := range at {
+			at[i] = dot(a, basis[i*d:(i+1)*d])
 			atNorm += at[i] * at[i]
 		}
 		bt := b - dot(a, p0)
@@ -143,13 +150,15 @@ func FeasibleOnHyperplane(g []float64, g0 float64, cons []Constraint, lo, hi []f
 	for _, con := range cons {
 		addRow(con.A, con.B)
 	}
+	ws.ek = grow(ws.ek, d)
+	ek := ws.ek
+	clear(ek)
 	for k := 0; k < d; k++ {
-		ek := make([]float64, d)
 		ek[k] = 1
 		addRow(ek, hi[k])
-		ek2 := make([]float64, d)
-		ek2[k] = -1
-		addRow(ek2, -lo[k])
+		ek[k] = -1
+		addRow(ek, -lo[k])
+		ek[k] = 0
 	}
 	if blocked {
 		return nil, false
@@ -162,26 +171,21 @@ func FeasibleOnHyperplane(g []float64, g0 float64, cons []Constraint, lo, hi []f
 		diam += r * r
 	}
 	diam = math.Sqrt(diam) + math.Abs(g0)/math.Sqrt(gg) + 1
-	tlo := make([]float64, m)
-	thi := make([]float64, m)
-	for i := range tlo {
-		tlo[i], thi[i] = -diam, diam
+	ws.tlo = grow(ws.tlo, m)
+	ws.thi = grow(ws.thi, m)
+	for i := range ws.tlo {
+		ws.tlo[i], ws.thi[i] = -diam, diam
 	}
-	t, margin, err := InteriorPoint(tcons, tlo, thi, rng)
+	t, margin, err := ws.InteriorPoint(tcons, ws.tlo, ws.thi, rng)
 	if err != nil || margin <= minMargin {
 		return nil, false
 	}
-	x := make([]float64, d)
 	copy(x, p0)
-	for i, u := range basis {
+	for i := 0; i < m; i++ {
+		u := basis[i*d : (i+1)*d]
 		for k := 0; k < d; k++ {
 			x[k] += t[i] * u[k]
 		}
 	}
 	return x, true
-}
-
-// Maximize is a convenience wrapper: maximize c·x over {Cons, box}.
-func Maximize(c []float64, cons []Constraint, lo, hi []float64, rng *rand.Rand) ([]float64, error) {
-	return Solve(&Problem{C: c, Cons: cons, Lo: lo, Hi: hi}, rng)
 }

@@ -217,15 +217,31 @@ func (m *Matrix) Rank(tol float64) int {
 // ordering-exchange hyperplane. Returns an error for a zero functional.
 func NullSpaceOfRow(v []float64) ([][]float64, error) {
 	d := len(v)
+	flat := make([]float64, (d-1)*d)
+	if err := NullSpaceOfRowInto(v, make([]float64, d), flat); err != nil {
+		return nil, err
+	}
+	basis := make([][]float64, d-1)
+	for i := range basis {
+		basis[i] = flat[i*d : (i+1)*d : (i+1)*d]
+	}
+	return basis, nil
+}
+
+// NullSpaceOfRowInto is NullSpaceOfRow into caller-provided storage: unit
+// (length d) receives v/‖v‖ and basis (length (d−1)·d) the basis vectors as
+// consecutive rows. The arithmetic is NullSpaceOfRow's own, so the vectors
+// are bit-identical.
+func NullSpaceOfRowInto(v, unit, basis []float64) error {
+	d := len(v)
 	var norm float64
 	for _, x := range v {
 		norm += x * x
 	}
 	norm = math.Sqrt(norm)
 	if norm < 1e-12 {
-		return nil, errors.New("matrix: null space of zero functional")
+		return errors.New("matrix: null space of zero functional")
 	}
-	unit := make([]float64, d)
 	for i, x := range v {
 		unit[i] = x / norm
 	}
@@ -237,17 +253,18 @@ func NullSpaceOfRow(v []float64) ([][]float64, error) {
 			drop = i
 		}
 	}
-	basis := make([][]float64, 0, d-1)
+	rows := 0
 	for i := 0; i < d; i++ {
 		if i == drop {
 			continue
 		}
-		e := make([]float64, d)
+		e := basis[rows*d : (rows+1)*d]
+		clear(e)
 		e[i] = 1
 		// Project out unit and the basis vectors found so far.
 		projectOut(e, unit)
-		for _, b := range basis {
-			projectOut(e, b)
+		for b := 0; b < rows; b++ {
+			projectOut(e, basis[b*d:(b+1)*d])
 		}
 		var n float64
 		for _, x := range e {
@@ -255,14 +272,14 @@ func NullSpaceOfRow(v []float64) ([][]float64, error) {
 		}
 		n = math.Sqrt(n)
 		if n < 1e-9 {
-			return nil, errors.New("matrix: degenerate null space basis")
+			return errors.New("matrix: degenerate null space basis")
 		}
 		for k := range e {
 			e[k] /= n
 		}
-		basis = append(basis, e)
+		rows++
 	}
-	return basis, nil
+	return nil
 }
 
 func projectOut(e, b []float64) {

@@ -3,6 +3,7 @@ package nlp
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"fairrank/internal/geom"
@@ -15,7 +16,7 @@ func TestClosestPointQueryInside(t *testing.T) {
 	// Region: whole box. Closest point to any query is the query itself.
 	box := geom.FullAngleBox(3)
 	q := geom.Angles{0.7, 0.4}
-	p, dist, err := ClosestAnglePoint(q, nil, box, Options{}, rng())
+	p, dist, err := new(Workspace).ClosestAnglePoint(q, nil, box, Options{}, rng())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestClosestPointHalfSpace(t *testing.T) {
 	box := geom.FullAngleBox(3)
 	cons := []lp.Constraint{{A: []float64{-1, 0}, B: -1}} // −θ1 ≤ −1
 	q := geom.Angles{0.2, 0.3}
-	p, dist, err := ClosestAnglePoint(q, cons, box, Options{}, rng())
+	p, dist, err := new(Workspace).ClosestAnglePoint(q, cons, box, Options{}, rng())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,13 +54,13 @@ func TestClosestPointEmptyRegion(t *testing.T) {
 		{A: []float64{1, 0}, B: 0.1},
 		{A: []float64{-1, 0}, B: -0.5},
 	}
-	if _, _, err := ClosestAnglePoint(geom.Angles{0.3, 0.3}, cons, box, Options{}, rng()); err != ErrEmptyRegion {
+	if _, _, err := new(Workspace).ClosestAnglePoint(geom.Angles{0.3, 0.3}, cons, box, Options{}, rng()); err != ErrEmptyRegion {
 		t.Errorf("want ErrEmptyRegion, got %v", err)
 	}
 }
 
 func TestClosestPointDimensionMismatch(t *testing.T) {
-	if _, _, err := ClosestAnglePoint(geom.Angles{0.3}, nil, geom.FullAngleBox(3), Options{}, rng()); err == nil {
+	if _, _, err := new(Workspace).ClosestAnglePoint(geom.Angles{0.3}, nil, geom.FullAngleBox(3), Options{}, rng()); err == nil {
 		t.Error("expected dimension mismatch error")
 	}
 }
@@ -77,7 +78,7 @@ func TestClosestPointAgainstBruteForce(t *testing.T) {
 			cons = append(cons, lp.Constraint{A: a, B: r.Float64()*2 - 0.3})
 		}
 		q := geom.Angles{r.Float64() * math.Pi / 2, r.Float64() * math.Pi / 2}
-		p, dist, err := ClosestAnglePoint(q, cons, box, Options{}, r)
+		p, dist, err := new(Workspace).ClosestAnglePoint(q, cons, box, Options{}, r)
 		if err == ErrEmptyRegion {
 			continue
 		}
@@ -125,5 +126,88 @@ func TestGoldenSection(t *testing.T) {
 	x := goldenSection(func(t float64) float64 { return (t - 0.3) * (t - 0.3) }, 0, 1, 60)
 	if math.Abs(x-0.3) > 1e-6 {
 		t.Errorf("golden section min = %v, want 0.3", x)
+	}
+}
+
+// randomRegions draws angle-space regions in 1–4 angles with 0–40
+// half-spaces, plus a query per region.
+func randomRegions(r *rand.Rand, n int) (regions [][]lp.Constraint, queries []geom.Angles) {
+	for i := 0; i < n; i++ {
+		m := 1 + r.Intn(4)
+		var cons []lp.Constraint
+		for j, k := 0, r.Intn(41); j < k; j++ {
+			a := make([]float64, m)
+			for l := range a {
+				a[l] = r.NormFloat64()
+			}
+			cons = append(cons, lp.Constraint{A: a, B: r.Float64()*2 - 0.3})
+		}
+		q := make(geom.Angles, m)
+		for l := range q {
+			q[l] = r.Float64() * math.Pi / 2
+		}
+		regions = append(regions, cons)
+		queries = append(queries, q)
+	}
+	return regions, queries
+}
+
+// One workspace reused across regions of different dimension and
+// constraint count must answer exactly like a fresh workspace per region.
+func TestWorkspaceReuseMatchesFresh(t *testing.T) {
+	regions, queries := randomRegions(rand.New(rand.NewSource(99)), 300)
+	type answer struct {
+		p    []uint64
+		dist uint64
+		err  error
+	}
+	solve := func(ws *Workspace, i int, rng *rand.Rand) answer {
+		p, dist, err := ws.ClosestAnglePoint(queries[i], regions[i], geom.FullAngleBox(len(queries[i])+1), Options{}, rng)
+		a := answer{dist: math.Float64bits(dist), err: err}
+		for _, v := range p {
+			a.p = append(a.p, math.Float64bits(v))
+		}
+		return a
+	}
+	var ws Workspace
+	rng := rand.New(rand.NewSource(3))
+	reused := make([]answer, len(regions))
+	for i := range regions {
+		reused[i] = solve(&ws, i, rng)
+	}
+	rng = rand.New(rand.NewSource(3))
+	var solved, empty int
+	for i := range regions {
+		want := solve(new(Workspace), i, rng)
+		if !reflect.DeepEqual(reused[i], want) {
+			t.Fatalf("region %d (%d angles, %d half-spaces): reused workspace gave %+v, fresh gave %+v",
+				i, len(queries[i]), len(regions[i]), reused[i], want)
+		}
+		if want.err == nil {
+			solved++
+		} else {
+			empty++
+		}
+	}
+	if solved < 50 || empty < 50 {
+		t.Errorf("weak mix: %d solved, %d empty regions", solved, empty)
+	}
+}
+
+// A warm workspace solves without allocating.
+func TestWorkspaceNoAllocsWhenWarm(t *testing.T) {
+	box := geom.FullAngleBox(4)
+	cons := []lp.Constraint{{A: []float64{-1, 0, 0.5}, B: -0.6}, {A: []float64{0.2, 1, 0}, B: 1.1}}
+	q := geom.Angles{0.2, 0.3, 1.1}
+	var ws Workspace
+	rng := rand.New(rand.NewSource(5))
+	f := func() {
+		if _, _, err := ws.ClosestAnglePoint(q, cons, box, Options{}, rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f()
+	if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
+		t.Errorf("warm ClosestAnglePoint allocates %v times per run", allocs)
 	}
 }

@@ -174,13 +174,17 @@ func LoadDesigner(r io.Reader, ds *Dataset, oracle Oracle) (*Designer, error) {
 		return nil, ErrLegacyIndex
 	}
 	refine := flags&flagRefineQueries != 0
-	revision := ds.Fingerprint()
+	var revision uint64
 	if flags&flagRevision != 0 {
 		var rev [8]byte
 		if _, err := io.ReadFull(r, rev[:]); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorruptIndex, err)
 		}
 		revision = binary.LittleEndian.Uint64(rev[:])
+	} else {
+		// Hashing the dataset is a full pass over it; pay it only for the
+		// streams that carry no revision word.
+		revision = ds.Fingerprint()
 	}
 	eng, err := loadEngine(mode, r, ds, oracle, refine)
 	if err != nil {

@@ -479,6 +479,63 @@ func TestHandoffResumeStitching(t *testing.T) {
 	}
 }
 
+// A patched designer's revision chains past its dataset's fingerprint; a
+// save/load cycle must restore that revision from the stream, not recompute
+// it from the dataset.
+func TestLoadDesignerRestoresPatchedRevision(t *testing.T) {
+	ds, _, d, _ := roundtripFixture(t, Mode2D)
+	delta := DatasetDelta{Removed: []int{0}}
+	next, err := ApplyDelta(ds, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := MinShare(next, "group", "protected", 0.25, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched, _, err := d.Patch(next, oracle, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if patched.Revision() == next.Fingerprint() {
+		t.Fatal("patched revision equals the dataset fingerprint; the test cannot tell them apart")
+	}
+	var buf bytes.Buffer
+	if err := patched.SaveIndex(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadDesigner(&buf, next, oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Revision() != patched.Revision() {
+		t.Errorf("loaded revision %#x, want the saved %#x", loaded.Revision(), patched.Revision())
+	}
+}
+
+// A stream without the revision word (header bit 2 clear) loads at the
+// dataset's own fingerprint.
+func TestLoadDesignerWithoutRevisionWord(t *testing.T) {
+	ds, oracle, d, queries := roundtripFixture(t, Mode2D)
+	var buf bytes.Buffer
+	if err := d.SaveIndex(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	binary.LittleEndian.PutUint32(b[20:24], binary.LittleEndian.Uint32(b[20:24])&^flagRevision)
+	b = append(b[:indexStreamHeaderLen:indexStreamHeaderLen], b[indexStreamHeaderLen+8:]...)
+	loaded, err := LoadDesigner(bytes.NewReader(b), ds, oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Revision() != ds.Fingerprint() {
+		t.Errorf("loaded revision %#x, want the dataset fingerprint %#x", loaded.Revision(), ds.Fingerprint())
+	}
+	if !sameSuggestions(suggestAll(t, loaded, queries), suggestAll(t, d, queries)) {
+		t.Error("stream without a revision word answers differently")
+	}
+}
+
 // The fingerprint must react to scoring values, type values, and names —
 // and must be stable across calls.
 func TestDatasetFingerprint(t *testing.T) {
