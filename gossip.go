@@ -1,7 +1,6 @@
 package fairrank
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -16,7 +15,6 @@ import (
 	"fairrank/internal/cluster"
 	"fairrank/internal/flatidx"
 	"fairrank/internal/obs"
-	"fairrank/internal/service"
 )
 
 // This file is the cluster's convergence layer: the anti-entropy pass that
@@ -32,12 +30,14 @@ import (
 // the peer is missing. Applying an entry is idempotent and ordered by the
 // entry version, so repeated or reordered delivery cannot diverge replicas.
 //
-// Ownership changes (a member joined, left, or died) trigger index handoff:
-// the new owner of a designer pulls the old owner's persisted index stream
-// (the universal header format of persist.go) and activates it without
-// rebuilding; rebuilding remains the fallback when no live member holds an
-// index. A draining node inverts the direction and pushes its indexes to
-// their next owners before announcing its leave.
+// Ownership changes (a member joined, left, or died) move index copies, not
+// build work, through the primitives in replica.go: a draining node pushes
+// each index it serves to the designer's next owner before announcing its
+// leave, and a new owner that holds no fresh copy pulls the previous
+// owner's index stream (the universal header format of persist.go). Either
+// way the bytes land in the replica store, and activate promotes them once
+// this node owns the designer; rebuilding remains the fallback when no live
+// member holds an index.
 
 // startAntiEntropy launches the background anti-entropy loop. A non-positive
 // interval disables it.
@@ -335,19 +335,19 @@ func (s *Server) reconcile() {
 }
 
 // rebalance re-evaluates ownership after a ring change. Designers this node
-// gained are activated (handoff first, rebuild fallback); designers it lost
-// keep their local index — queries for them are forwarded to the new owner,
-// and the idle index is the warm standby the next failover or handoff pulls
-// from.
+// gained are activated (a copy pulled from the previous owner first, rebuild
+// fallback); designers it lost keep their local index — queries for them are
+// forwarded to the new owner, and the idle index is the warm standby the next
+// failover or ownership pull fetches from.
 func (s *Server) rebalance() { s.reconcile() }
 
 // ensureOwned asynchronously makes this node serve designer id if it owns it
-// on the current ring and has no local index yet. It first attempts index
-// handoff — streaming the persisted index from the member that owned the
-// designer before (HandoffSource) and loading it, so the offline build is
-// not repeated — and falls back to a local background build when no live
-// member can supply an index (the old owner is dead, or the designer was
-// never built). Duplicate calls coalesce on the in-flight set.
+// on the current ring and has no local index yet. Unless a fresh copy is
+// already held (a replica push, or a drain that landed here), it first pulls
+// the index from the member that served the designer before (HandoffSource),
+// so the offline build is not repeated; then activate promotes the copy, or
+// builds when no live member could supply one (the old owner is dead, or the
+// designer was never built). Duplicate calls coalesce on the in-flight set.
 func (s *Server) ensureOwned(id string) {
 	if !s.router.OwnedLocally(id) {
 		return
@@ -368,14 +368,6 @@ func (s *Server) ensureOwned(id string) {
 			s.mu.Lock()
 			delete(s.pulling, id)
 			s.mu.Unlock()
-			// A DELETE may have tombstoned the designer while the handoff
-			// or build was in flight — after its Remove ran, if the entry
-			// landed later. Re-check and evict so the tombstone can never
-			// leave a zombie index serving (DeleteDesigner records the
-			// tombstone before it evicts, making this check reliable).
-			if s.designerDeleted(id) {
-				s.shard(id).Remove(id)
-			}
 		}()
 		build, err := s.builder(spec)
 		if err != nil {
@@ -383,31 +375,25 @@ func (s *Server) ensureOwned(id string) {
 			// anti-entropy round retries once it lands.
 			return
 		}
-		// Promote-not-rebuild: a pushed replica copy (if fresh) activates in
-		// memory, making failover index-activation latency. Handoff streams
-		// from a live holder next; rebuild stays the zero-replica fallback.
-		if _, ok := s.promoteReplica(id, build); ok {
-			return
+		if _, fresh := s.freshCopy(id); !fresh {
+			s.pullFromPreviousOwner(id)
 		}
-		if s.tryHandoff(id, spec, build) {
-			return
-		}
-		if _, cerr := s.shard(id).Create(id, build); cerr == nil {
-			s.logf("cluster: rebuild: designer %q building locally (no handoff source)", id)
+		if _, err := s.activate(id, build); err != nil {
+			s.logf("cluster: activating designer %q failed: %v", id, err)
 		}
 	}()
 }
 
-// tryHandoff pulls designer id's index from the member that served it before
-// this node owned it, activating the loaded engine without a rebuild.
-// Returns false when no source exists, the source holds no ready index
-// (404), or the stream fails to load — the caller then rebuilds. Each pull
-// runs under its own background trace ("handoff-pull") so cross-node index
-// moves show up at /debug/traces next to the request traces.
-func (s *Server) tryHandoff(id string, spec DesignerSpec, build service.BuildFunc) bool {
+// pullFromPreviousOwner lands designer id's index from the member that
+// served it before this node owned it. A failure (no source, a source with
+// no ready index, a stream that fails to load) leaves nothing landed, and
+// activation falls back to a rebuild. Each pull runs under its own
+// background trace ("handoff-pull") so cross-node index moves show up at
+// /debug/traces next to the request traces.
+func (s *Server) pullFromPreviousOwner(id string) {
 	src, ok := s.router.HandoffSource(id)
 	if !ok {
-		return false
+		return
 	}
 	stats := s.router.Stats()
 	rec := s.tracer.Background("handoff-pull")
@@ -416,43 +402,17 @@ func (s *Server) tryHandoff(id string, spec DesignerSpec, build service.BuildFun
 	begin := time.Now()
 	ctx, cancel := context.WithTimeout(obs.NewContext(context.Background(), rec), 2*time.Minute)
 	defer cancel()
-	sp := rec.Start("fetch")
-	buf, gen, err := s.fetchIndexResumable(ctx, src, id)
+	gen, stored, err := s.pullCopy(ctx, src, id)
 	if err != nil {
-		sp.EndNote("failed peer=" + src.Member().ID)
 		stats.HandoffFailures.Add(1)
-		var se *cluster.StatusError
-		if !errors.As(err, &se) {
-			src.MarkUnhealthy(err)
-		}
-		return false
+		s.logf("cluster: handoff of %q from %s failed: %v", id, src.Member().ID, err)
+		return
 	}
-	stats.HandoffBytesIn.Add(int64(len(buf)))
-	sp.EndNote("peer=" + src.Member().ID)
-	sp = rec.Start("load")
-	d, err := s.loadDesignerStream(bytes.NewReader(buf), spec)
-	if err != nil {
-		sp.EndNote("failed")
-		stats.HandoffFailures.Add(1)
-		s.logf("cluster: handoff of %q from %s failed to load: %v", id, src.Member().ID, err)
-		return false
-	}
-	sp.EndNote(fmt.Sprintf("bytes=%d", len(buf)))
-	sp = rec.Start("activate")
-	// The source stamps the stream with its serving generation; activating at
-	// that generation keeps the designer's generation monotone across the
-	// ownership move (and lets replica freshness checks keep working).
-	_, cerr := s.shard(id).CreateReadyGen(id, &designerEngine{d: d}, build, gen)
-	sp.End()
 	stats.HandoffPulls.Add(1)
 	stats.HandoffNs.Add(time.Since(begin).Nanoseconds())
-	if cerr != nil {
-		// Lost a race against a concurrent activation; either way an index
-		// is serving.
-		return true
+	if stored {
+		s.logf("cluster: handoff: designer %q index loaded from %s at generation %d", id, src.Member().ID, gen)
 	}
-	s.logf("cluster: handoff: designer %q index loaded from %s (no rebuild)", id, src.Member().ID)
-	return true
 }
 
 // fetchIndexResumable pulls designer id's full index stream from src,
@@ -495,8 +455,8 @@ func (s *Server) fetchIndexResumable(ctx context.Context, src *cluster.Peer, id 
 }
 
 // loadDesignerStream reconstructs a designer from a persisted index stream
-// against the spec's dataset and oracle — the activate-from-stream half of
-// index handoff.
+// against the spec's dataset and oracle — the decode step of landCopy and of
+// a restart's LoadDir.
 func (s *Server) loadDesignerStream(r io.Reader, spec DesignerSpec) (*Designer, error) {
 	ds, ok := s.Dataset(spec.Dataset)
 	if !ok {
@@ -545,8 +505,8 @@ func (s *Server) originateMembership(members []cluster.Member) (cluster.MetaEntr
 // member: it posts its identity to the seed's /cluster/join, applies the
 // membership the seed answers with, and immediately runs one anti-entropy
 // exchange against the seed so every dataset and designer spec lands before
-// the first request does. Designers this node now owns are activated by
-// index handoff from their previous owners (rebuild fallback). Requires
+// the first request does. Designers this node now owns are pulled from
+// their previous owners and promoted (rebuild fallback). Requires
 // ClusterConfig.AdvertiseURL.
 func (s *Server) JoinCluster(ctx context.Context, seedURL string) error {
 	if s.advertise == "" {
@@ -569,11 +529,12 @@ func (s *Server) JoinCluster(ctx context.Context, seedURL string) error {
 }
 
 // LeaveCluster drains this node out of the cluster: it pushes every locally
-// served index to the designer's next ring owner (so the new owner activates
-// it without a rebuild), then originates a membership without itself and
-// replicates it to the remaining members. The node keeps serving whatever it
-// holds until the process exits — useful for the SIGTERM window where
-// forwarded stragglers still arrive.
+// served index to the designer's next ring owner (which promotes the copy
+// once the leave makes it the owner, instead of rebuilding), then
+// originates a membership without itself and replicates it to the
+// remaining members. The node keeps serving whatever it holds until the
+// process exits — useful for the SIGTERM window where forwarded stragglers
+// still arrive.
 func (s *Server) LeaveCluster(ctx context.Context) error {
 	if s.router.SingleNode() {
 		return nil
@@ -601,16 +562,12 @@ func (s *Server) LeaveCluster(ctx context.Context) error {
 		if !ok {
 			continue
 		}
-		pr, pw := io.Pipe()
-		go func() { pw.CloseWithError(eng.SaveIndex(pw)) }()
-		cr := &obs.CountingReader{R: pr}
 		begin := time.Now()
-		err = peer.PushIndex(ctx, self, id, entry.Generation(), cr)
-		stats.HandoffBytesOut.Add(cr.N())
+		err = s.pushCopy(ctx, peer, id, eng, entry.Generation())
 		stats.HandoffNs.Add(time.Since(begin).Nanoseconds())
 		if err != nil {
 			stats.HandoffFailures.Add(1)
-			s.logf("cluster: drain: pushing index of %q to %s failed: %v (it will rebuild)",
+			s.logf("cluster: drain: pushing index of %q to %s failed: %v (it will pull or rebuild)",
 				id, peer.Member().ID, err)
 		} else {
 			stats.HandoffPushes.Add(1)

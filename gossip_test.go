@@ -8,6 +8,8 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -604,6 +606,11 @@ func TestLeaveDrainPushesIndexes(t *testing.T) {
 	if !a.logs.any(fmt.Sprintf("handoff: designer %q index received", id)) {
 		t.Fatalf("A did not receive a pushed index; log:\n%s", strings.Join(a.logs.lines, "\n"))
 	}
+	// Landing is logged before activation: only the promotion proves the
+	// drained copy is what serves.
+	if !a.logs.any(fmt.Sprintf("promote: designer %q", id)) || a.logs.any(fmt.Sprintf("rebuild: designer %q", id)) {
+		t.Fatalf("A did not promote the drained copy; log:\n%s", strings.Join(a.logs.lines, "\n"))
+	}
 	entry, _ := a.srv.shard(id).Get(id)
 	if st := entry.Status(); st.Rebuilds != 0 {
 		t.Fatalf("survivor rebuilt (%d) instead of loading the pushed index", st.Rebuilds)
@@ -614,6 +621,146 @@ func TestLeaveDrainPushesIndexes(t *testing.T) {
 		if m.ID == "node-b" {
 			t.Fatal("left node still on the survivor's ring")
 		}
+	}
+}
+
+// A join moves a designer off the node that built it, which keeps the index
+// as a warm standby; when the joiner drains, its copy goes back there. The
+// standby keeps serving, byte-identically, and with k = 0 the drained copy,
+// which promotion could never use next to a serving entry, is not kept.
+func TestDrainBackToStandbyKeepsNoCopy(t *testing.T) {
+	a := startGossipNode(t, "node-a", nil, 60*time.Millisecond)
+	gossipDatasets(t, a.srv)
+	id := nameOwnedBy(t, "standby", "node-c", "node-a", "node-c")
+	if err := a.srv.CreateDesigner(id, gossipSpecs()["gossip-2d"]); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.srv.WaitReady(t.Context(), id); err != nil {
+		t.Fatal(err)
+	}
+	q := []float64{0.5, 0.5}
+	want, err := a.srv.Suggest(id, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := startGossipNode(t, "node-c", nil, 60*time.Millisecond)
+	if err := c.srv.JoinCluster(t.Context(), a.url); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 30*time.Second, "designer handed to C", func() bool {
+		entry, ok := c.srv.shard(id).Get(id)
+		return ok && entry.Status().Status == service.StatusReady
+	})
+	if err := c.srv.LeaveCluster(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.srv.router.Stats().HandoffPushes.Load(); got != 1 {
+		t.Fatalf("C pushed %d indexes on its drain, want 1", got)
+	}
+	c.stop()
+	if _, held := a.srv.replicas.Get(id); held {
+		t.Fatal("A kept the drained copy beside the standby entry that serves")
+	}
+	sameSuggestion(t, "standby after the drain", suggestVia(t, a.url, id, q), want)
+}
+
+// blockedIndexWriters counts goroutines stuck writing a SaveIndex stream
+// into a pipe nobody reads.
+func blockedIndexWriters() int {
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 2); err != nil {
+		return -1
+	}
+	n := 0
+	for _, g := range strings.Split(buf.String(), "\n\n") {
+		if strings.Contains(g, "io.(*pipe).write") && strings.Contains(g, "SaveIndex") {
+			n++
+		}
+	}
+	return n
+}
+
+// A drain whose heir refuses connections fails every push before the body is
+// read. Each failed push must still release its SaveIndex writer; a writer
+// left blocked on the pipe would live forever and pin its engine.
+func TestDrainToClosedPortLeavesNoIndexWriter(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	heir := "http://" + l.Addr().String()
+	l.Close() // nothing listens there any more: connections are refused
+	// No health loop: the heir stays healthy in B's view, so the drain
+	// really pushes to it.
+	b, err := NewClusterServer(ClusterConfig{NodeID: "node-b", Peers: []ClusterPeer{{ID: "node-a", URL: heir}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	gossipDatasets(t, b)
+	for mode, spec := range gossipSpecs() {
+		id := nameOwnedBy(t, "leak-"+mode, "node-b", "node-a", "node-b")
+		if err := b.CreateDesigner(id, spec); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.WaitReady(t.Context(), id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.LeaveCluster(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.router.Stats().HandoffFailures.Load(); got != 3 {
+		t.Fatalf("%d failed drain pushes, want 3 (one per designer)", got)
+	}
+	waitFor(t, 5*time.Second, "no SaveIndex writer blocked on a pipe", func() bool {
+		return blockedIndexWriters() == 0
+	})
+}
+
+// A node that joined with -join boots on a ring of itself alone. Restarted
+// from its data dir it must still decide ownership on the persisted ring:
+// the designer the seed owns stays dormant (no build), and its own designer
+// serves from its saved index at once.
+func TestRestartedJoinerKeepsPersistedOwnership(t *testing.T) {
+	a := startGossipNode(t, "node-a", nil, 60*time.Millisecond)
+	c := startGossipNode(t, "node-c", nil, 60*time.Millisecond)
+	if err := c.srv.JoinCluster(t.Context(), a.url); err != nil {
+		t.Fatal(err)
+	}
+	waitForMembership(t, 2, a, c)
+	gossipDatasets(t, a.srv)
+	spec := gossipSpecs()["gossip-2d"]
+	ownedByA := nameOwnedBy(t, "restart", "node-a", "node-a", "node-c")
+	ownedByC := nameOwnedBy(t, "restart", "node-c", "node-a", "node-c")
+	for _, id := range []string{ownedByA, ownedByC} {
+		if err := a.srv.CreateDesigner(id, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 60*time.Second, "C serving its designer", func() bool {
+		entry, ok := c.srv.shard(ownedByC).Get(ownedByC)
+		return ok && entry.Status().Status == service.StatusReady && len(c.srv.DesignerIDs()) == 2
+	})
+	dir := t.TempDir()
+	if err := c.srv.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted, err := NewClusterServer(ClusterConfig{NodeID: "node-c", AdvertiseURL: c.url})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	if err := restarted.LoadDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if entry, held := restarted.shard(ownedByA).Get(ownedByA); held {
+		t.Fatalf("restarted C activated %q, which A owns (status %q)", ownedByA, entry.Status().Status)
+	}
+	entry, ok := restarted.shard(ownedByC).Get(ownedByC)
+	if !ok || entry.Status().Status != service.StatusReady {
+		t.Fatalf("restarted C does not serve its own designer %q from disk (held=%v)", ownedByC, ok)
 	}
 }
 
@@ -814,6 +961,143 @@ func TestStatusAndRevalidateRouteToOwner(t *testing.T) {
 	sameSuggestion(t, "suggest via outside node", suggestVia(t, outside.url, id, []float64{0.5, 0.5}), want)
 	if got := forwarded(); got != before+1 {
 		t.Fatalf("replica_reads_forwarded %d -> %d after one outside-set suggest, want +1", before, got)
+	}
+}
+
+// A follower that lost its copy — a restart empties the in-memory replica
+// store — while the owner's ack map still suppresses a re-push must get it
+// back through the pull leg alone, and answer from it locally and
+// byte-identically.
+func TestFollowerPullRepairRestoresDroppedCopy(t *testing.T) {
+	a := startReplicaNode(t, "node-a", 1, 60*time.Millisecond)
+	b := startReplicaNode(t, "node-b", 0, 60*time.Millisecond)
+	if err := b.srv.JoinCluster(t.Context(), a.url); err != nil {
+		t.Fatal(err)
+	}
+	byID := map[string]*gossipNode{"node-a": a, "node-b": b}
+	t.Cleanup(func() { dumpLogsOnFailure(t, byID) })
+	waitFor(t, 15*time.Second, "replica factor gossiped", func() bool {
+		return b.srv.replicaFactor() == 1
+	})
+	waitForMembership(t, 2, a, b)
+
+	gossipDatasets(t, a.srv)
+	const id = "gossip-2d"
+	if err := a.srv.CreateDesigner(id, gossipSpecs()[id]); err != nil {
+		t.Fatal(err)
+	}
+	set := a.srv.router.ReplicaSet(id, 1)
+	if len(set) != 2 {
+		t.Fatalf("replica set %v, want owner+1 follower", set)
+	}
+	owner, follower := byID[set[0].ID], byID[set[1].ID]
+	// Settled: the owner acked its push, the follower's copy is at least
+	// that new, and no follower sync pass (which could be pulling) is in
+	// flight.
+	var gen uint64
+	waitFor(t, 60*time.Second, "pushed copy acked and settled", func() bool {
+		owner.srv.mu.RLock()
+		acked := owner.srv.pushed[id][follower.srv.router.NodeID()]
+		owner.srv.mu.RUnlock()
+		gen = follower.srv.replicas.Generation(id)
+		return acked > 0 && gen >= acked && !follower.srv.replicaBusy.Load()
+	})
+	pulls := follower.srv.router.Stats().ReplicaPulls.Load()
+	pushes := owner.srv.router.Stats().ReplicaPushes.Load()
+	mark := follower.logs.mark()
+
+	follower.srv.replicas.Remove(id)
+	repaired := fmt.Sprintf("replica: designer %q generation %d pulled from %s (repair)", id, gen, owner.srv.router.NodeID())
+	waitFor(t, 30*time.Second, "pull repair of the dropped copy", func() bool {
+		return follower.logs.anyAfter(mark, repaired)
+	})
+	if got := follower.srv.replicas.Generation(id); got < gen {
+		t.Fatalf("repaired copy at generation %d, below the dropped %d", got, gen)
+	}
+	if got := follower.srv.router.Stats().ReplicaPulls.Load(); got != pulls+1 {
+		t.Fatalf("replica pulls %d -> %d, want +1", pulls, got)
+	}
+	if got := owner.srv.router.Stats().ReplicaPushes.Load(); got != pushes {
+		t.Fatalf("owner pushes moved %d -> %d: the repair was not the pull", pushes, got)
+	}
+
+	q := []float64{0.5, 0.5}
+	want, err := owner.srv.Suggest(id, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := follower.srv.router.Stats().ReplicaReadsLocal.Load()
+	sameSuggestion(t, "repaired copy via follower", suggestVia(t, follower.url, id, q), want)
+	if got := follower.srv.router.Stats().ReplicaReadsLocal.Load(); got != local+1 {
+		t.Fatalf("follower local reads %d -> %d: the suggest was not answered from the repaired copy", local, got)
+	}
+}
+
+// POST /cluster/replica/{id} stores copies by generation. A push without a
+// positive X-Fairrank-Generation is refused with a 400 instead of stored at
+// generation 0, below every publication.
+func TestReplicaPutRequiresGeneration(t *testing.T) {
+	id := nameOwnedBy(t, "gen", "node-a", "node-a", "node-b")
+	spec := gossipSpecs()["gossip-2d"]
+	src := NewServer()
+	defer src.Close()
+	gossipDatasets(t, src)
+	if err := src.CreateDesigner(id, spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.WaitReady(t.Context(), id); err != nil {
+		t.Fatal(err)
+	}
+	entry, _ := src.shard(id).Get(id)
+	eng, err := entry.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	if err := eng.SaveIndex(&stream); err != nil {
+		t.Fatal(err)
+	}
+	// The receiver holds the spec dormant: node-a owns the designer (no
+	// health loop ever marks it down), as on a follower.
+	srv, err := NewClusterServer(ClusterConfig{NodeID: "node-b", Peers: []ClusterPeer{{ID: "node-a", URL: "http://127.0.0.1:1"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	gossipDatasets(t, srv)
+	if err := srv.CreateDesigner(id, spec); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	put := func(gen string) int {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/cluster/replica/"+id, bytes.NewReader(stream.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gen != "" {
+			req.Header.Set(cluster.GenerationHeader, gen)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, gen := range []string{"", "0", "seven"} {
+		if code := put(gen); code != http.StatusBadRequest {
+			t.Fatalf("push with generation header %q: HTTP %d, want 400", gen, code)
+		}
+	}
+	if _, held := srv.replicas.Get(id); held {
+		t.Fatal("a push without a generation was stored")
+	}
+	if code := put("7"); code != http.StatusOK {
+		t.Fatalf("push at generation 7: HTTP %d, want 200", code)
+	}
+	if got := srv.replicas.Generation(id); got != 7 {
+		t.Fatalf("copy stored at generation %d, want 7", got)
 	}
 }
 

@@ -51,8 +51,11 @@ import (
 //	POST /cluster/leave                   {"id": ...} — drain (self) or force-remove (other)
 //	POST /cluster/digest                  Digest → DigestResponse (anti-entropy exchange)
 //	POST /cluster/meta                    {"entries": [MetaEntry]} → apply (replication push)
-//	GET  /cluster/handoff/{id}            → persisted index stream (octet-stream)
-//	POST /cluster/handoff/{id}            index stream → load + activate without rebuild
+//	GET  /cluster/handoff/{id}            → persisted index stream (octet-stream) and its
+//	                                        X-Fairrank-Generation; ?offset=N resumes a broken pull
+//	POST /cluster/replica/{id}            index stream at X-Fairrank-Generation (400 when missing)
+//	                                        → stored in the replica store, never activated on
+//	                                        receipt: an owner's replica push and a drain both land here
 //
 // In a cluster, any node accepts any request: per-designer calls take one
 // route (replica.go) — suggests to the designer's ring owner or a caught-up
@@ -104,7 +107,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /cluster/digest", s.handleDigest)
 	s.mux.HandleFunc("POST /cluster/meta", s.handleMeta)
 	s.mux.HandleFunc("GET /cluster/handoff/{id}", s.handleHandoffGet)
-	s.mux.HandleFunc("POST /cluster/handoff/{id}", s.handleHandoffPut)
 	s.mux.HandleFunc("POST /cluster/replica/{id}", s.handleReplicaPut)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /debug/traces", s.handleDebugTraces)
@@ -532,7 +534,7 @@ func (s *Server) handleDeleteDesigner(w http.ResponseWriter, r *http.Request) {
 // the joiner added, fans it out to the existing peers, and answers with the
 // membership entry so the joiner can adopt the ring immediately. The
 // joiner's subsequent anti-entropy exchange pulls all metadata; designers it
-// now owns are then activated by index handoff from their previous owners.
+// now owns are then pulled from their previous owners and promoted.
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req joinRequest
 	if !decodeBody(w, r, &req) {
@@ -674,12 +676,13 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"applied": applied})
 }
 
-// handleHandoffGet streams the persisted index of a locally served designer
-// (universal header + engine payload, exactly the SaveIndex bytes) to a
-// member that now owns it. ?offset=N skips the first N stream bytes —
-// the resume leg of a broken pull; serialization is deterministic, so the
+// handleHandoffGet is the one fetch endpoint: it streams the index this node
+// holds for a designer (universal header + engine payload, exactly the
+// SaveIndex bytes) at its generation, to a member that now owns it or to a
+// follower repairing a missed push. ?offset=N skips the first N stream bytes
+// — the resume leg of a broken pull; serialization is deterministic, so the
 // skipped prefix is byte-identical to what the puller already holds. 404 —
-// no entry here, or still building — tells the caller to fall back to
+// no index here, or still building — tells the caller to fall back to
 // rebuilding.
 func (s *Server) handleHandoffGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
@@ -712,9 +715,7 @@ func (s *Server) handleHandoffGet(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if gen > 0 {
-		w.Header().Set(cluster.GenerationHeader, strconv.FormatUint(gen, 10))
-	}
+	w.Header().Set(cluster.GenerationHeader, strconv.FormatUint(gen, 10))
 	cw := &obs.CountingWriter{W: w}
 	err := eng.SaveIndex(&skipWriter{w: cw, skip: offset})
 	s.router.Stats().HandoffBytesOut.Add(cw.N())
@@ -747,49 +748,6 @@ func (sw *skipWriter) Write(p []byte) (int, error) {
 		return 0, err
 	}
 	return n, nil
-}
-
-// handleHandoffPut receives a pushed index stream (a draining node handing
-// off before it leaves) and activates it without a rebuild. The designer's
-// spec must already be known here — metadata replicates ahead of indexes.
-func (s *Server) handleHandoffPut(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.RLock()
-	spec, known := s.specs[id]
-	s.mu.RUnlock()
-	if !known {
-		writeError(w, http.StatusNotFound, fmt.Errorf("%w: designer %q (push metadata before indexes)", ErrUnknownID, id))
-		return
-	}
-	build, err := s.builder(spec)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	cr := &obs.CountingReader{R: http.MaxBytesReader(w, r.Body, 1<<30)}
-	d, err := s.loadDesignerStream(cr, spec)
-	s.router.Stats().HandoffBytesIn.Add(cr.N())
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	gen, _ := strconv.ParseUint(r.Header.Get(cluster.GenerationHeader), 10, 64)
-	if _, err := s.shard(id).CreateReadyGen(id, &designerEngine{d: d}, build, gen); err != nil {
-		// An entry already serves (duplicate push, or a build won the race);
-		// the pushed copy is redundant, not wrong.
-		writeJSON(w, http.StatusOK, map[string]any{"id": id, "loaded": false})
-		return
-	}
-	if s.designerDeleted(id) {
-		// Same post-landing re-check as localEntry and ensureOwned: a
-		// DELETE racing this push must not leave a zombie index serving.
-		s.shard(id).Remove(id)
-		writeError(w, http.StatusNotFound, fmt.Errorf("%w: designer %q was deleted", ErrUnknownID, id))
-		return
-	}
-	s.logf("cluster: handoff: designer %q index received from %s (no rebuild)",
-		id, r.Header.Get(cluster.ForwardHeader))
-	writeJSON(w, http.StatusOK, map[string]any{"id": id, "loaded": true})
 }
 
 // handleMetrics exposes per-designer query counters and latency histograms.

@@ -233,17 +233,17 @@ func (p *Peer) PushEntries(ctx context.Context, from string, entries []MetaEntry
 }
 
 // FetchIndex streams the peer's persisted index bytes for a designer
-// (GET /cluster/handoff/{id}) — the pull side of index handoff: a new ring
-// owner loads the old owner's index instead of re-running the offline build.
-// A positive offset asks the peer to skip that many stream bytes — the
-// resume path after a broken pull; index serialization is deterministic, so
-// the suffix stitches onto the prefix already received and the section
-// checksums vouch for the result. A peer that holds no ready index answers
-// 404, surfaced as *StatusError; the caller then falls back to rebuilding.
-// The caller must Close the returned stream. gen is the serving generation
-// the source stamped on the stream (its GenerationHeader; 0 on streams from
-// nodes that predate replication), so an index keeps its generation across
-// ownership moves.
+// (GET /cluster/handoff/{id}) — the pull side of an index move: a new ring
+// owner, or a follower that missed a push, loads the peer's index instead of
+// re-running the offline build. A positive offset asks the peer to skip that
+// many stream bytes — the resume path after a broken pull; index
+// serialization is deterministic, so the suffix stitches onto the prefix
+// already received and the section checksums vouch for the result. A peer
+// that holds no ready index answers 404, surfaced as *StatusError; the
+// caller then falls back to rebuilding. The caller must Close the returned
+// stream. gen is the generation the source stamped on the stream (its
+// GenerationHeader; 0 when missing, which the receiving side refuses), so an
+// index keeps its generation across ownership moves.
 func (p *Peer) FetchIndex(ctx context.Context, from, id string, offset int64) (rc io.ReadCloser, gen uint64, err error) {
 	url := p.member.URL + "/cluster/handoff/" + id
 	if offset > 0 {
@@ -268,32 +268,20 @@ func (p *Peer) FetchIndex(ctx context.Context, from, id string, offset int64) (r
 	return resp.Body, gen, nil
 }
 
-// PushIndex streams index bytes to the peer's POST /cluster/handoff/{id} —
-// the push side of handoff: a draining node hands each of its indexes to the
-// designer's next owner before announcing its leave, so the new owner starts
-// serving without a rebuild. gen stamps the stream with its serving
-// generation (0 omits the header).
-func (p *Peer) PushIndex(ctx context.Context, from, id string, gen uint64, body io.Reader) error {
-	return p.postStream(ctx, "/cluster/handoff/"+id, from, gen, body)
-}
-
-// PushReplica streams index bytes to the peer's POST /cluster/replica/{id} —
-// an owner fanning a sealed index out to a follower. Unlike PushIndex the
-// receiver stores the copy in its replica store instead of activating it.
+// PushReplica streams index bytes at generation gen to the peer's
+// POST /cluster/replica/{id} — the one push of a sealed index, used by an
+// owner fanning its index out to a follower and by a draining node handing
+// its index to the designer's next owner. The receiver stores the copy in
+// its replica store; it serves only once promoted there.
 func (p *Peer) PushReplica(ctx context.Context, from, id string, gen uint64, body io.Reader) error {
-	return p.postStream(ctx, "/cluster/replica/"+id, from, gen, body)
-}
-
-func (p *Peer) postStream(ctx context.Context, path, from string, gen uint64, body io.Reader) error {
+	path := "/cluster/replica/" + id
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.member.URL+path, body)
 	if err != nil {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
 	req.Header.Set(ForwardHeader, from)
-	if gen > 0 {
-		req.Header.Set(GenerationHeader, strconv.FormatUint(gen, 10))
-	}
+	req.Header.Set(GenerationHeader, strconv.FormatUint(gen, 10))
 	setTrace(ctx, req)
 	resp, err := p.client.Do(req)
 	if err != nil {

@@ -121,9 +121,6 @@ func NewRouter(cfg Config) (*Router, error) {
 // NodeID returns this node's ring id.
 func (rt *Router) NodeID() string { return rt.self.ID }
 
-// Self returns this node's own ring member (id plus advertise URL).
-func (rt *Router) Self() Member { return rt.self }
-
 // Client returns the HTTP client the router uses for peer traffic, so
 // bootstrap paths (joining a cluster through a seed node) share its pooling
 // and timeout behavior.

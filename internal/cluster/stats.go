@@ -44,8 +44,9 @@ type Stats struct {
 	// followers, pulls by a follower repairing a missed push.
 	ReplicaPushes atomic.Int64
 	ReplicaPulls  atomic.Int64
-	// ReplicaPromotions counts designers activated from a follower's replica
-	// copy after an ownership change — the promote-not-rebuild fast path.
+	// ReplicaPromotions counts designers activated from a held copy — on
+	// failover, after a drain, or after an ownership pull — each one a
+	// rebuild avoided.
 	ReplicaPromotions atomic.Int64
 	// ReplicaReadsLocal counts Suggest/SuggestBatch reads a follower answered
 	// from its own fresh copy; ReplicaReadsForwarded counts reads this node

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"sort"
 	"sync"
 
 	"fairrank/internal/obs"
@@ -93,23 +92,4 @@ func (s *ReplicaStore) Remove(name string) bool {
 	_, ok := s.m[name]
 	delete(s.m, name)
 	return ok
-}
-
-// Names returns the names with a held copy, sorted.
-func (s *ReplicaStore) Names() []string {
-	s.mu.RLock()
-	names := make([]string, 0, len(s.m))
-	for n := range s.m {
-		names = append(names, n)
-	}
-	s.mu.RUnlock()
-	sort.Strings(names)
-	return names
-}
-
-// Len returns the number of held copies.
-func (s *ReplicaStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
 }

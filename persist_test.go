@@ -7,13 +7,18 @@ import (
 	"errors"
 	"log/slog"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"fairrank/internal/cluster"
 	"fairrank/internal/datagen"
 	"fairrank/internal/flatidx"
 )
@@ -476,6 +481,68 @@ func TestHandoffResumeStitching(t *testing.T) {
 		if got := suggestAll(t, loaded, queries); !sameSuggestions(want, got) {
 			t.Fatalf("cut %d: resumed index answers differently", cut)
 		}
+	}
+}
+
+// fetchIndexResumable against a real node's GET /cluster/handoff/{id}: a
+// proxy that breaks the first response after 60% of its body, having
+// declared the full Content-Length, must cost exactly one resume, and the
+// stitched bytes must equal SaveIndex's.
+func TestHandoffPullResumesBrokenStream(t *testing.T) {
+	src := NewServer()
+	defer src.Close()
+	gossipDatasets(t, src)
+	const id = "gossip-exact"
+	if err := src.CreateDesigner(id, gossipSpecs()[id]); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.WaitReady(t.Context(), id); err != nil {
+		t.Fatal(err)
+	}
+	entry, _ := src.shard(id).Get(id)
+	eng, err := entry.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := eng.SaveIndex(&want); err != nil {
+		t.Fatal(err)
+	}
+
+	var requests atomic.Int32
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if requests.Add(1) > 1 {
+			src.Handler().ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		src.Handler().ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		w.Header().Set(cluster.GenerationHeader, rec.Header().Get(cluster.GenerationHeader))
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(rec.Code)
+		w.Write(body[:len(body)*6/10]) //nolint:errcheck // the break is the point
+	}))
+	defer proxy.Close()
+
+	puller := NewServer()
+	defer puller.Close()
+	peer := cluster.NewPeer(cluster.Member{ID: "proxy", URL: proxy.URL}, nil)
+	got, gen, err := puller.fetchIndexResumable(t.Context(), peer, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("resumed pull: %d bytes differ from the %d SaveIndex bytes", len(got), want.Len())
+	}
+	if gen != entry.Generation() {
+		t.Fatalf("pulled generation %d, want %d", gen, entry.Generation())
+	}
+	if n := requests.Load(); n != 2 {
+		t.Fatalf("%d requests, want 2 (the broken stream and one resume)", n)
+	}
+	if n := puller.router.Stats().HandoffResumes.Load(); n != 1 {
+		t.Fatalf("%d resumes, want 1", n)
 	}
 }
 

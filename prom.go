@@ -160,7 +160,7 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 		float64(st.ReplicaPushes))
 	p.Counter("fairrank_replica_pulls_total", "Missed replica pushes repaired by pulling from the owner.",
 		float64(st.ReplicaPulls))
-	p.Counter("fairrank_replica_promotions_total", "Replica copies activated into serving on ownership change (rebuilds avoided).",
+	p.Counter("fairrank_replica_promotions_total", "Index copies activated into serving on failover, drain or ownership pull (rebuilds avoided).",
 		float64(st.ReplicaPromotions))
 	p.Counter("fairrank_replica_reads_total", "Suggest reads answered from this node's replica copies.",
 		float64(st.ReplicaReadsLocal), "path", "local")

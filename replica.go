@@ -1,6 +1,7 @@
 package fairrank
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,7 +16,8 @@ import (
 	"fairrank/internal/service"
 )
 
-// Read-replica fan-out (docs/REPLICATION.md). The pieces, in request order:
+// Read-replica fan-out and index moves (docs/REPLICATION.md). The pieces, in
+// request order:
 //
 //   - route spreads Suggest/SuggestBatch reads across a designer's replica
 //     set, guarded so a follower never answers from a copy older than the
@@ -25,9 +27,13 @@ import (
 //     from every reconcile tick: the owner publishes the generation it
 //     serves as a gossiped "replica/<id>" entry, then streams the sealed
 //     index to each follower; a follower that missed a push pulls it back.
-//   - promoteReplica activates a follower's copy when ownership moves here
-//     (owner died, or views disagree) — failover costs index activation,
-//     not a rebuild. Rebuild remains the zero-replica fallback.
+//   - Every index move, whatever started it, is a copy at a generation:
+//     landCopy is the only way index bytes enter a node (into the replica
+//     store, never straight into serving), pushCopy the only way they leave
+//     one, and pullCopy the only fetch. activate is the only way a copy
+//     starts serving: it promotes a fresh copy, else builds. So failover,
+//     drain and ownership change all cost index activation, not a rebuild,
+//     whenever a copy reached the new owner.
 //
 // The factor k is gossiped (replicas/config), so one flagged node is enough
 // to switch the whole cluster on.
@@ -63,31 +69,146 @@ func (s *Server) publishedReplica(id string) (cluster.ReplicaInfo, bool) {
 	return info, true
 }
 
-// promoteReplica activates the local replica copy of id into the shard
-// registry, preserving its generation — the promote-not-rebuild failover
-// path. It refuses stale copies (generation below the publication): the
-// publication never lowers, so activating a stale copy would pin stale
-// answers forever, while falling through to handoff/rebuild converges.
-func (s *Server) promoteReplica(id string, build service.BuildFunc) (*service.Entry, bool) {
+// freshCopy returns the replica copy of id when one is held at or above the
+// publication (any copy, when nothing is published — k = 0). A copy below the
+// publication is never served or promoted: the publication never lowers, so
+// activating a stale copy would pin stale answers forever, while pulling or
+// rebuilding converges.
+func (s *Server) freshCopy(id string) (service.Replica, bool) {
 	rep, ok := s.replicas.Get(id)
 	if !ok {
-		return nil, false
+		return service.Replica{}, false
 	}
 	if pub, has := s.publishedReplica(id); has && rep.Generation < pub.Generation {
-		return nil, false
+		return service.Replica{}, false
 	}
-	entry, err := s.shard(id).CreateReadyGen(id, rep.Engine, build, rep.Generation)
-	if err != nil {
-		if entry, ok := s.shard(id).Get(id); ok {
-			return entry, true // lost the activation race; an index serves
+	return rep, true
+}
+
+// activate makes this node serve id: it promotes a fresh replica copy into
+// the registry at the copy's generation, or else starts a build. It is the
+// only activation path — failover, drain, ownership change and a read
+// landing on a dormant spec all end here. A DELETE may tombstone the designer
+// while the activation runs, after its Remove; the re-check below evicts the
+// landed entry so a tombstone never leaves a zombie index serving
+// (DeleteDesigner records the tombstone before it evicts, making this check
+// reliable).
+func (s *Server) activate(id string, build service.BuildFunc) (*service.Entry, error) {
+	reg := s.shard(id)
+	var (
+		entry *service.Entry
+		err   error
+	)
+	if rep, ok := s.freshCopy(id); ok {
+		if entry, err = reg.CreateReadyGen(id, rep.Engine, build, rep.Generation); err == nil {
+			s.replicas.Remove(id)
+			s.router.Stats().ReplicaPromotions.Add(1)
+			s.logf("cluster: promote: designer %q activated local replica at generation %d (no rebuild)",
+				id, rep.Generation)
 		}
-		return nil, false
+	} else if entry, err = reg.Create(id, build); err == nil {
+		s.logf("cluster: rebuild: designer %q building locally (no fresh copy here)", id)
 	}
-	s.replicas.Remove(id)
-	s.router.Stats().ReplicaPromotions.Add(1)
-	s.logf("cluster: promote: designer %q activated local replica at generation %d (no rebuild)",
-		id, rep.Generation)
-	return entry, true
+	if errors.Is(err, service.ErrDuplicateName) {
+		// Lost an activation race; the winner's entry serves.
+		if entry, ok := reg.Get(id); ok {
+			return entry, nil
+		}
+	}
+	if err == nil && s.designerDeleted(id) {
+		reg.Remove(id)
+		return nil, fmt.Errorf("%w: designer %q", ErrUnknownID, id)
+	}
+	return entry, err
+}
+
+// errNoGeneration refuses an index copy that carries no generation: the
+// stale-read guard and promotion compare copies by generation, and a copy
+// at 0 would sit below every publication.
+var errNoGeneration = errors.New("fairrank: index copy carries no generation")
+
+// landCopy is the only way index bytes enter a node: it loads the stream
+// against the designer's spec (full header and payload validation) and
+// stores the result in the replica store at gen. It never activates the
+// copy; activate does that once this node owns the designer. stored is false
+// when a newer copy is already held, or when the copy could never be used
+// here. The designer's spec must already be known here — metadata
+// replicates ahead of indexes.
+func (s *Server) landCopy(id string, r io.Reader, gen uint64) (stored bool, err error) {
+	if gen == 0 {
+		return false, errNoGeneration
+	}
+	s.mu.RLock()
+	spec, known := s.specs[id]
+	s.mu.RUnlock()
+	if !known {
+		return false, fmt.Errorf("%w: designer %q (push metadata before indexes)", ErrUnknownID, id)
+	}
+	cr := &obs.CountingReader{R: r}
+	d, err := s.loadDesignerStream(cr, spec)
+	s.router.Stats().HandoffBytesIn.Add(cr.N())
+	if err != nil {
+		return false, err
+	}
+	if _, serving := s.shard(id).Get(id); serving && s.replicaFactor() == 0 {
+		// With k = 0 a copy only waits to be promoted, and promotion never
+		// replaces an entry that already serves here — a drain back to a
+		// node that kept a warm standby would leave a copy nothing reads.
+		return false, nil
+	}
+	stored = s.replicas.Set(id, &designerEngine{d: d}, gen)
+	if s.designerDeleted(id) {
+		// A DELETE raced the move, after its Remove: drop the landed copy.
+		s.replicas.Remove(id)
+		return false, fmt.Errorf("%w: designer %q was deleted", ErrUnknownID, id)
+	}
+	return stored, nil
+}
+
+// pushCopy is the only way index bytes leave a node: it streams eng's sealed
+// index to peer's POST /cluster/replica/{id} at gen. The stream is produced
+// through a pipe; closing the read end on return unblocks the writer when
+// the push failed before its body was drained (connection refused, an early
+// 404), so no SaveIndex goroutine outlives the call.
+func (s *Server) pushCopy(ctx context.Context, peer *cluster.Peer, id string, eng service.Engine, gen uint64) error {
+	pr, pw := io.Pipe()
+	saved := make(chan struct{})
+	go func() {
+		defer close(saved)
+		pw.CloseWithError(eng.SaveIndex(pw))
+	}()
+	cr := &obs.CountingReader{R: pr}
+	err := peer.PushReplica(ctx, s.router.NodeID(), id, gen, cr)
+	pr.Close()
+	<-saved
+	s.router.Stats().HandoffBytesOut.Add(cr.N())
+	return err
+}
+
+// pullCopy is the only fetch: it pulls id's index from src — resumably — and
+// lands it. A transport failure marks src down; an application answer (404:
+// src holds no index) does not.
+func (s *Server) pullCopy(ctx context.Context, src *cluster.Peer, id string) (gen uint64, stored bool, err error) {
+	rec := obs.FromContext(ctx)
+	sp := rec.Start("fetch")
+	buf, gen, err := s.fetchIndexResumable(ctx, src, id)
+	if err != nil {
+		sp.EndNote("failed peer=" + src.Member().ID)
+		var se *cluster.StatusError
+		if !errors.As(err, &se) {
+			src.MarkUnhealthy(err)
+		}
+		return 0, false, err
+	}
+	sp.EndNote("peer=" + src.Member().ID)
+	sp = rec.Start("load")
+	stored, err = s.landCopy(id, bytes.NewReader(buf), gen)
+	if err != nil {
+		sp.EndNote("failed")
+		return 0, false, err
+	}
+	sp.EndNote(fmt.Sprintf("bytes=%d", len(buf)))
+	return gen, stored, nil
 }
 
 // replicaTick schedules one replicaSync pass on a background goroutine,
@@ -191,12 +312,8 @@ func (s *Server) replicaPublishPush(id string, set []cluster.Member) {
 			continue
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		pr, pw := io.Pipe()
-		go func() { pw.CloseWithError(eng.SaveIndex(pw)) }()
-		cr := &obs.CountingReader{R: pr}
-		err := peer.PushReplica(ctx, self, id, gen, cr)
+		err := s.pushCopy(ctx, peer, id, eng, gen)
 		cancel()
-		stats.HandoffBytesOut.Add(cr.N())
 		if err != nil {
 			var se *cluster.StatusError
 			if !errors.As(err, &se) {
@@ -231,42 +348,18 @@ func (s *Server) replicaPullRepair(id string, owner cluster.Member) {
 		// once); that warm standby outranks a replica copy.
 		return
 	}
-	self := s.router.NodeID()
-	if owner.ID == self {
-		return
-	}
-	s.mu.RLock()
-	spec, known := s.specs[id]
-	s.mu.RUnlock()
-	if !known {
-		return
-	}
 	peer, ok := s.router.Peer(owner.ID)
 	if !ok || !peer.Healthy() {
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	rc, gen, err := peer.FetchIndex(ctx, self, id, 0)
+	gen, stored, err := s.pullCopy(ctx, peer, id)
 	if err != nil {
-		var se *cluster.StatusError
-		if !errors.As(err, &se) {
-			peer.MarkUnhealthy(err)
-		}
+		s.logf("cluster: replica: pulling %q from %s failed: %v", id, owner.ID, err)
 		return
 	}
-	cr := &obs.CountingReader{R: rc}
-	d, lerr := s.loadDesignerStream(cr, spec)
-	rc.Close()
-	s.router.Stats().HandoffBytesIn.Add(cr.N())
-	if lerr != nil {
-		s.logf("cluster: replica: pulling %q from %s failed to load: %v", id, owner.ID, lerr)
-		return
-	}
-	if gen == 0 {
-		gen = pub.Generation
-	}
-	if s.replicas.Set(id, &designerEngine{d: d}, gen) {
+	if stored {
 		s.router.Stats().ReplicaPulls.Add(1)
 		s.logf("cluster: replica: designer %q generation %d pulled from %s (repair)", id, gen, owner.ID)
 	}
@@ -383,35 +476,22 @@ func (s *Server) publishedGeneration(id string) uint64 {
 	return pub.Generation
 }
 
-// handleReplicaPut receives an owner's replica push: the sealed index stream
-// plus its generation header, stored in the replica store (NOT activated —
-// that is what distinguishes it from a handoff push; the registry stays the
-// owner's). The designer's spec must already be known here.
+// handleReplicaPut is the one receive endpoint for index bytes: an owner's
+// replica push and a draining node's handoff both land here, in the replica
+// store (landCopy). Serving starts only when this node owns the designer
+// and activates the copy. A missing or malformed generation header reads as
+// 0, which landCopy refuses with a 400.
 func (s *Server) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.mu.RLock()
-	spec, known := s.specs[id]
-	s.mu.RUnlock()
-	if !known {
-		writeError(w, http.StatusNotFound, fmt.Errorf("%w: designer %q (push metadata before indexes)", ErrUnknownID, id))
-		return
-	}
 	gen, _ := strconv.ParseUint(r.Header.Get(cluster.GenerationHeader), 10, 64)
-	cr := &obs.CountingReader{R: http.MaxBytesReader(w, r.Body, 1<<30)}
-	d, err := s.loadDesignerStream(cr, spec)
-	s.router.Stats().HandoffBytesIn.Add(cr.N())
+	stored, err := s.landCopy(id, http.MaxBytesReader(w, r.Body, 1<<30), gen)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
+		writeError(w, errorStatus(err), err)
 		return
 	}
-	if s.designerDeleted(id) {
-		writeError(w, http.StatusNotFound, fmt.Errorf("%w: designer %q was deleted", ErrUnknownID, id))
-		return
-	}
-	stored := s.replicas.Set(id, &designerEngine{d: d}, gen)
 	if stored {
-		s.logf("cluster: replica: designer %q generation %d received from %s",
-			id, gen, r.Header.Get(cluster.ForwardHeader))
+		s.logf("cluster: handoff: designer %q index received from %s at generation %d",
+			id, r.Header.Get(cluster.ForwardHeader), gen)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "generation": gen, "stored": stored})
 }

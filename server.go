@@ -468,9 +468,9 @@ func (s *Server) DeleteDesigner(id string) error {
 			return fmt.Errorf("%w: designer %q", ErrUnknownID, id)
 		}
 	}
-	// Tombstone FIRST, then evict: an activation racing this delete
-	// re-checks the tombstone after it lands its entry (localEntry,
-	// ensureOwned), so this order guarantees either the Remove below or the
+	// Tombstone FIRST, then evict: a move or activation racing this delete
+	// re-checks the tombstone after it lands its copy or entry (landCopy,
+	// activate), so this order guarantees either the Removes below or the
 	// racer's own re-check evicts the index — never a spec-less zombie.
 	s.meta.Delete(metaKeyDesigner(id))
 	// The publication entry follows the designer into deletion (guarded on
@@ -525,14 +525,15 @@ func (s *Server) builder(spec DesignerSpec) (service.BuildFunc, error) {
 }
 
 // localEntry returns the shard registry entry serving id, activating a
-// dormant spec when none exists yet: this is the rebuild-on-owner failover —
-// a node that stored a designer's spec as a non-owner starts building the
-// index the moment query traffic for it lands here (the owner died, or the
-// cluster views disagree and someone must answer). The first queries return
-// ErrNotReady (HTTP 503) until the build swaps in.
+// dormant spec when none exists yet: a node that stored a designer's spec as
+// a non-owner starts serving it the moment query traffic for it lands here
+// (the owner died, or the cluster views disagree and someone must answer).
+// Read traffic can land before the reconcile tick notices the ownership
+// change, so this path activates exactly as ensureOwned does: a fresh
+// replica copy is promoted, otherwise a build starts and the first queries
+// return ErrNotReady (HTTP 503) until it swaps in.
 func (s *Server) localEntry(id string) (*service.Entry, error) {
-	reg := s.shard(id)
-	if entry, ok := reg.Get(id); ok {
+	if entry, ok := s.shard(id).Get(id); ok {
 		return entry, nil
 	}
 	s.mu.RLock()
@@ -545,33 +546,7 @@ func (s *Server) localEntry(id string) (*service.Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Promote-not-rebuild: a follower that inherited ownership (or must
-	// answer anyway) activates its pushed replica copy instead of rebuilding,
-	// as long as the copy is not stale. Read traffic can land here before the
-	// reconcile tick notices the ownership change, so the check lives on the
-	// activation path too, not just in ensureOwned.
-	if entry, ok := s.promoteReplica(id, build); ok {
-		if s.designerDeleted(id) {
-			reg.Remove(id)
-			return nil, fmt.Errorf("%w: designer %q", ErrUnknownID, id)
-		}
-		return entry, nil
-	}
-	entry, err := reg.Create(id, build)
-	if errors.Is(err, service.ErrDuplicateName) {
-		// Lost an activation race; the winner's entry serves.
-		if entry, ok := reg.Get(id); ok {
-			return entry, nil
-		}
-	}
-	if err == nil && s.designerDeleted(id) {
-		// A delete tombstoned the designer between the spec read above and
-		// the Create; evict the just-activated entry instead of serving a
-		// deleted designer.
-		reg.Remove(id)
-		return nil, fmt.Errorf("%w: designer %q", ErrUnknownID, id)
-	}
-	return entry, err
+	return s.activate(id, build)
 }
 
 // designerDeleted reports whether the designer carries a replicated
@@ -856,8 +831,8 @@ func (s *Server) SaveDir(dir string) error {
 const clusterMetaFile = "cluster-meta.json"
 
 // metaVersionRecord is one persisted (key, version, tombstone) triple.
-// Payload is carried only for the membership entry, whose bytes live
-// nowhere else in the data dir.
+// Payload is carried only for the membership, replica-config and
+// publication entries, whose bytes live nowhere else in the data dir.
 type metaVersionRecord struct {
 	Key     string          `json:"key"`
 	Version uint64          `json:"version"`
@@ -865,7 +840,8 @@ type metaVersionRecord struct {
 	Payload json.RawMessage `json:"payload,omitempty"`
 }
 
-// LoadDir restores SaveDir state: datasets first, then designers — from
+// LoadDir restores SaveDir state: datasets first, then the persisted ring
+// and replication records, then designers — the ones this node owns from
 // their index file when present and loadable (serving immediately), falling
 // back to a background rebuild from the manifest otherwise.
 func (s *Server) LoadDir(dir string) error {
@@ -904,6 +880,25 @@ func (s *Server) LoadDir(dir string) error {
 			}
 		}
 	}
+	// Records that carry payload bytes (the membership, the replica config,
+	// the publications) are applied whole before any designer loads, so
+	// loadDesigner decides ownership on the last known ring: a node that
+	// joined with -join boots on a ring of itself alone, and would otherwise
+	// build every designer it holds a manifest for.
+	var versions, restored []metaVersionRecord
+	if err := readJSONFile(filepath.Join(dir, clusterMetaFile), &versions); err == nil {
+		var payloads []cluster.MetaEntry
+		for _, r := range versions {
+			if len(r.Payload) == 0 {
+				restored = append(restored, r)
+				continue
+			}
+			payloads = append(payloads, cluster.MetaEntry{
+				Key: r.Key, Version: r.Version, Deleted: r.Deleted, Payload: r.Payload,
+			})
+		}
+		s.applyEntries(payloads)
+	}
 	for _, e := range entries {
 		id, ok := strings.CutSuffix(e.Name(), ".designer.json")
 		if !ok {
@@ -919,20 +914,9 @@ func (s *Server) LoadDir(dir string) error {
 	}
 	// Lift the re-Put entries (all at version 1 now) back to their persisted
 	// versions and recreate tombstones, so this replica rejoins anti-entropy
-	// where it left off instead of below the rest of the cluster. Records
-	// that carry payload bytes (the membership) are applied whole, restoring
-	// the last known ring at its version.
-	var versions []metaVersionRecord
-	if err := readJSONFile(filepath.Join(dir, clusterMetaFile), &versions); err == nil {
-		for _, r := range versions {
-			if len(r.Payload) > 0 {
-				s.applyEntries([]cluster.MetaEntry{{
-					Key: r.Key, Version: r.Version, Deleted: r.Deleted, Payload: r.Payload,
-				}})
-				continue
-			}
-			s.meta.Restore(r.Key, r.Version, r.Deleted)
-		}
+	// where it left off instead of below the rest of the cluster.
+	for _, r := range restored {
+		s.meta.Restore(r.Key, r.Version, r.Deleted)
 	}
 	// A node booted with -replicas set re-originates the factor ABOVE every
 	// restored version, so restarting a node with a new flag value is the
