@@ -21,9 +21,9 @@ func init() {
 }
 
 // runAblDepth quantifies the oracle-probe fast path: when the oracle
-// declares the prefix it inspects (fairness.InspectionDepth), every probe
-// ranks partially in O(n + k log k) instead of O(n log n). An opaque
-// wrapper hides the depth and forces full sorts.
+// declares what it reads (fairness.Reads), every probe ranks only that —
+// for a top-k oracle, selection of the top-k set in O(n) instead of an
+// O(n log n) sort. An opaque wrapper hides the need and forces full sorts.
 func runAblDepth(cfg config) {
 	n := 150
 	if cfg.full {

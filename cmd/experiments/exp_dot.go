@@ -103,18 +103,12 @@ func runDOT(cfg config) {
 		}
 		keys = sampled
 	}
-	depth := fairness.InspectionDepth(fullOracle)
+	need := fairness.Reads(fullOracle)
+	var bufs ranking.Buffers
 	satisfied, total := 0, 0
 	for _, k := range keys {
 		f := distinct[key(k)]
-		w := f.ToCartesian(1)
-		var order []int
-		var err error
-		if depth > 0 {
-			order, err = ranking.PartialOrder(ds, w, depth)
-		} else {
-			order, err = ranking.Order(ds, w)
-		}
+		order, err := bufs.Rank(ds, f.ToCartesian(1), need)
 		if err != nil {
 			log.Fatal(err)
 		}

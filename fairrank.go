@@ -266,9 +266,11 @@ func (d *Designer) Mode() Mode { return d.mode }
 // Satisfiable reports whether any satisfactory ranking function exists.
 func (d *Designer) Satisfiable() bool { return d.eng.Satisfiable() }
 
-// IsFair evaluates the oracle directly on the ordering induced by w.
+// IsFair evaluates the oracle directly on the ordering induced by w,
+// ranking only as far as the oracle reads.
 func (d *Designer) IsFair(w []float64) (bool, error) {
-	order, err := ranking.Order(d.ds, geom.Vector(w))
+	var bufs ranking.Buffers
+	order, err := bufs.Rank(d.ds, geom.Vector(w), fairness.Reads(d.oracle))
 	if err != nil {
 		return false, err
 	}

@@ -8,27 +8,33 @@ import (
 	"fairrank/internal/geom"
 )
 
-// Incremental hyperplane repair: BuildHyperplanes is the dominant offline
-// cost of the arrangement pipeline (one HYPERPOLAR fit — null-space basis,
-// matrix solves, allocations — per non-dominating pair, Θ(n²) fits), yet a
-// dataset patch invalidates only the pairs that touch a removed or added
-// item. RepairHyperplanes reproduces the exact output of
+// Hyperplane fitting. Every exact and grid build fits its ordering-exchange
+// hyperplanes through FitHyperplanes, which lists the non-dominating pairs,
+// shuffles the pair list, cuts it to the MaxHyperplanes cap and fits only
+// the kept prefix. The result is bit-identical to the all-pairs sequence
 //
 //	hs, _ := BuildHyperplanes(items)
 //	total := len(hs)
 //	ShuffleHyperplanes(hs, rng)
 //	hs = hs[:maxH]   // when capped
 //
-// while fitting only the pairs it cannot reuse from a previous build. Two
-// properties make the reuse sound:
+// at a fraction of its cost: one HYPERPOLAR fit (null-space basis, polar
+// conversions, a matrix solve) per kept pair instead of per pair — 40 or 200
+// fits instead of ~370k at n=1000, d=3. Two properties make it sound:
 //
-//  1. HyperPolar is a deterministic, rng-free function of the two item
-//     value vectors, so a hyperplane fitted for a surviving pair in the old
-//     build is bit-identical to the one a rebuild would fit.
-//  2. rng.Shuffle's consumption of the rng stream depends only on the slice
+//  1. rng.Shuffle's consumption of the rng stream depends only on the slice
 //     length, so shuffling the pair list (no hyperplanes materialized yet)
-//     leaves the rng in exactly the state the rebuild's shuffle would —
-//     every LP draw the arrangement construction makes afterwards matches.
+//     applies the same permutation and leaves the rng in exactly the state
+//     the all-pairs shuffle would — every LP draw the arrangement
+//     construction makes afterwards matches.
+//  2. HyperPolar is a deterministic, rng-free function of the two item
+//     value vectors, so fitting a pair after the shuffle gives the same
+//     hyperplane as fitting it before. The same property lets a repair
+//     reuse a previous build's fit for a pair whose items survived a patch.
+//
+// One behaviour differs from the all-pairs sequence: a pair outside the
+// kept prefix is never fitted, so a HYPERPOLAR failure there cannot fail
+// the build.
 
 // Pair identifies one ordering-exchange pair of item indices, I < J.
 type Pair struct{ I, J int }
@@ -37,7 +43,7 @@ type Pair struct{ I, J int }
 // row-major order, without fitting anything. The predicate is the exact
 // dominance/duplicate filter of BuildHyperplanes inlined to avoid the
 // temporary difference vector, so the pair list (and therefore the shuffle
-// below) matches the rebuild bit for bit.
+// below) matches the all-pairs build bit for bit.
 func ExchangePairs(items []geom.Vector) []Pair {
 	n := len(items)
 	// One upfront allocation at the worst-case pair count: the append loop
@@ -77,15 +83,16 @@ func ShufflePairs(ps []Pair, rng *rand.Rand) {
 	rng.Shuffle(len(ps), func(i, j int) { ps[i], ps[j] = ps[j], ps[i] })
 }
 
-// RepairHyperplanes rebuilds the (shuffled, capped) hyperplane list over the
-// patched items, reusing previously fitted hyperplanes where possible. reuse
-// maps a pair of patched-dataset item indices to the hyperplane fitted for
-// the same two item values in a previous build (callers remap old I/J tags
-// through the delta before constructing it). total is the pre-cap pair
-// count |H|; maxH ≤ 0 means uncapped. The returned slice, the rng state on
-// return, and total are all bit-identical to the rebuild sequence in the
-// package comment above.
-func RepairHyperplanes(items []geom.Vector, reuse map[Pair]geom.Hyperplane, rng *rand.Rand, maxH int) (hs []geom.Hyperplane, total int, reused int, err error) {
+// FitHyperplanes returns the shuffled, capped hyperplane list over items,
+// fitting only the pairs the cap keeps. reuse, when non-nil, maps a pair of
+// item indices to a hyperplane already fitted for the same two item values
+// in a previous build (a repair remaps old I/J tags through its delta before
+// constructing it); builds pass nil. total is the pre-cap pair count |H|;
+// maxH ≤ 0 means uncapped. The returned slice, the rng state on return, and
+// total are all bit-identical to the all-pairs sequence in the comment
+// above, and the slice's capacity is its length, so an index that keeps it
+// pins nothing beyond the kept hyperplanes.
+func FitHyperplanes(items []geom.Vector, reuse map[Pair]geom.Hyperplane, rng *rand.Rand, maxH int) (hs []geom.Hyperplane, total int, err error) {
 	pairs := ExchangePairs(items)
 	total = len(pairs)
 	ShufflePairs(pairs, rng)
@@ -97,15 +104,14 @@ func RepairHyperplanes(items []geom.Vector, reuse map[Pair]geom.Hyperplane, rng 
 		if h, ok := reuse[p]; ok {
 			h.I, h.J = p.I, p.J
 			hs = append(hs, h)
-			reused++
 			continue
 		}
 		h, err := HyperPolar(items[p.I], items[p.J])
 		if err != nil {
-			return nil, 0, 0, fmt.Errorf("arrangement: pair (%d,%d): %w", p.I, p.J, err)
+			return nil, 0, fmt.Errorf("arrangement: pair (%d,%d): %w", p.I, p.J, err)
 		}
 		h.I, h.J = p.I, p.J
 		hs = append(hs, h)
 	}
-	return hs, total, reused, nil
+	return hs, total, nil
 }

@@ -149,7 +149,10 @@ func positivityLimit(w geom.Vector, u []float64) float64 {
 
 // BuildHyperplanes runs HyperPolar over every non-dominating pair of dataset
 // items (lines 2-7 of Algorithm 4), tagging each hyperplane with its item
-// pair. items is the slice of scoring vectors.
+// pair. items is the slice of scoring vectors. Index builds use
+// FitHyperplanes, which fits only the pairs a MaxHyperplanes cap keeps;
+// this all-pairs form serves the experiments that time or count the full
+// hyperplane set (Figs. 18–20).
 func BuildHyperplanes(items []geom.Vector) ([]geom.Hyperplane, error) {
 	var hs []geom.Hyperplane
 	n := len(items)

@@ -44,7 +44,7 @@ type Options struct {
 // PhaseTimes records the duration of each preprocessing phase — the series
 // plotted in Figures 22 and 23.
 type PhaseTimes struct {
-	BuildHyperplanes time.Duration // HYPERPOLAR over all pairs
+	BuildHyperplanes time.Duration // pair listing, shuffle, HYPERPOLAR over the kept pairs
 	Partition        time.Duration // ANGLEPARTITIONING
 	Assign           time.Duration // CELLPLANE×
 	Mark             time.Duration // MARKCELL / ATC+
@@ -81,30 +81,18 @@ type Approx struct {
 // Preprocess runs the full offline pipeline of §5 over the dataset: build
 // ordering-exchange hyperplanes, partition the angle space into ~n cells,
 // assign hyperplanes to cells, mark cells intersecting satisfactory
-// regions, and color the rest.
+// regions, and color the rest. Under a MaxHyperplanes cap only the kept
+// pairs are fitted (arrangement.FitHyperplanes).
 func Preprocess(ds *dataset.Dataset, oracle fairness.Oracle, n int, opt Options) (*Approx, error) {
-	return preprocessWith(ds, oracle, n, opt, func(items []geom.Vector, rng *rand.Rand) ([]geom.Hyperplane, error) {
-		hps, err := arrangement.BuildHyperplanes(items)
-		if err != nil {
-			return nil, err
-		}
-		arrangement.ShuffleHyperplanes(hps, rng)
-		if opt.MaxHyperplanes > 0 && len(hps) > opt.MaxHyperplanes {
-			hps = hps[:opt.MaxHyperplanes]
-		}
-		return hps, nil
-	})
+	return preprocessWith(ds, oracle, n, opt, nil)
 }
 
-// preprocessWith is Preprocess with the hyperplane-construction stage
-// injected: buildHps receives the item vectors and the build rng and returns
-// the shuffled, capped hyperplane list. Preprocess passes the from-scratch
-// HYPERPOLAR builder; Repair passes one that reuses every hyperplane whose
-// pair survived the patch. Both must leave the rng in the same state (their
-// shuffles permute equal-length lists), so everything downstream — the LP
-// draws of MARKCELL's per-cell arrangements seeded from rng.Int63() — replays
-// identically.
-func preprocessWith(ds *dataset.Dataset, oracle fairness.Oracle, n int, opt Options, buildHps func(items []geom.Vector, rng *rand.Rand) ([]geom.Hyperplane, error)) (*Approx, error) {
+// preprocessWith is Preprocess with a hyperplane reuse map: nil for a
+// build, the surviving pairs of the index being repaired for Repair. Both
+// fit through arrangement.FitHyperplanes, which leaves the rng in the same
+// state either way, so everything downstream — the LP draws of MARKCELL's
+// per-cell arrangements seeded from rng.Int63() — replays identically.
+func preprocessWith(ds *dataset.Dataset, oracle fairness.Oracle, n int, opt Options, reuse map[arrangement.Pair]geom.Hyperplane) (*Approx, error) {
 	if ds.D() < 2 {
 		return nil, fmt.Errorf("cells: need at least 2 scoring attributes, got %d", ds.D())
 	}
@@ -122,7 +110,7 @@ func preprocessWith(ds *dataset.Dataset, oracle fairness.Oracle, n int, opt Opti
 			items = append(items, ds.Item(i))
 		}
 	}
-	hps, err := buildHps(items, rng)
+	hps, _, err := arrangement.FitHyperplanes(items, reuse, rng, opt.MaxHyperplanes)
 	if err != nil {
 		return nil, err
 	}
@@ -142,22 +130,28 @@ func preprocessWith(ds *dataset.Dataset, oracle fairness.Oracle, n int, opt Opti
 	a.Times.Assign = time.Since(start)
 
 	var oracleCalls atomic.Int64
-	depth := fairness.InspectionDepth(oracle)
-	check := func(theta geom.Angles) bool {
-		w := theta.ToCartesian(1)
-		order, err := orderForOracle(ds, w, depth)
-		if err != nil {
-			return false
+	need := fairness.Reads(oracle)
+	// Each MARKCELL worker gets its own check, owning the ranking buffers
+	// and the cartesian probe vector, so a probe allocates nothing.
+	newCheck := func() CheckFunc {
+		var bufs ranking.Buffers
+		w := make(geom.Vector, ds.D())
+		return func(theta geom.Angles) bool {
+			theta.ToCartesianInto(1, w)
+			order, err := bufs.Rank(ds, w, need)
+			if err != nil {
+				return false
+			}
+			oracleCalls.Add(1)
+			return oracle.Check(order)
 		}
-		oracleCalls.Add(1)
-		return oracle.Check(order)
 	}
 	start = time.Now()
 	workers := opt.Workers
 	if workers == 0 {
 		workers = 1
 	}
-	a.MarkStats = MarkCellsParallel(grid, hps, check, rng.Int63(), opt.MaxRegionsPerCell, workers)
+	a.MarkStats = MarkCellsParallel(grid, hps, newCheck, rng.Int63(), opt.MaxRegionsPerCell, workers)
 	a.Times.Mark = time.Since(start)
 
 	start = time.Now()
@@ -181,25 +175,7 @@ func (a *Approx) Satisfiable() bool { return a.MarkStats.Marked > 0 }
 // angular distance from the query. By Theorem 6 that distance exceeds the
 // optimum by at most 4·arcsin(√(d−1)/2 · (η/N)^{1/(d−1)}).
 func (a *Approx) Query(w geom.Vector) (geom.Vector, float64, error) {
-	if len(w) != a.DS.D() {
-		return nil, 0, fmt.Errorf("cells: query dimension %d, want %d", len(w), a.DS.D())
-	}
-	order, err := orderForOracle(a.DS, w, fairness.InspectionDepth(a.Oracle))
-	if err != nil {
-		return nil, 0, err
-	}
-	if a.Oracle.Check(order) {
-		return w.Clone(), 0, nil
-	}
-	r, q, err := geom.ToPolar(w)
-	if err != nil {
-		return nil, 0, err
-	}
-	bestF, dist := a.bestStored(q, false, nil, geom.AngleDistance)
-	if bestF == nil {
-		return nil, 0, ErrUnsatisfiable
-	}
-	return bestF.ToCartesian(r), dist, nil
+	return a.query(w, false)
 }
 
 // QueryRefined is Query plus a cheap neighbor refinement: besides the
@@ -209,10 +185,16 @@ func (a *Approx) Query(w geom.Vector) (geom.Vector, float64, error) {
 // CELLCOLORING's nearest-seed heuristic leaves (see the abl-refine
 // experiment).
 func (a *Approx) QueryRefined(w geom.Vector) (geom.Vector, float64, error) {
+	return a.query(w, true)
+}
+
+// query is Query, plus the neighbor refinement when refine is set.
+func (a *Approx) query(w geom.Vector, refine bool) (geom.Vector, float64, error) {
 	if len(w) != a.DS.D() {
 		return nil, 0, fmt.Errorf("cells: query dimension %d, want %d", len(w), a.DS.D())
 	}
-	order, err := orderForOracle(a.DS, w, fairness.InspectionDepth(a.Oracle))
+	var bufs ranking.Buffers
+	order, err := bufs.Rank(a.DS, w, fairness.Reads(a.Oracle))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -223,11 +205,15 @@ func (a *Approx) QueryRefined(w geom.Vector) (geom.Vector, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	bestF, best := a.bestStored(q, true, q.Clone(), geom.AngleDistance)
+	var probe geom.Angles
+	if refine {
+		probe = q.Clone()
+	}
+	bestF, dist := a.bestStored(q, refine, probe, geom.AngleDistance)
 	if bestF == nil {
 		return nil, 0, ErrUnsatisfiable
 	}
-	return bestF.ToCartesian(r), best, nil
+	return bestF.ToCartesian(r), dist, nil
 }
 
 // bestStored is the one copy of the cell-probe policy shared by the scalar
@@ -320,14 +306,4 @@ func Theorem6Bound(d, n int) float64 {
 		arg = 1
 	}
 	return 4 * math.Asin(arg)
-}
-
-// orderForOracle ranks the dataset for an oracle probe, using the
-// O(n + k log k) partial ordering when the oracle's inspection depth is
-// known (fairness.InspectionDepth) and the full sort otherwise.
-func orderForOracle(ds *dataset.Dataset, w geom.Vector, depth int) ([]int, error) {
-	if depth > 0 {
-		return ranking.PartialOrder(ds, w, depth)
-	}
-	return ranking.Order(ds, w)
 }

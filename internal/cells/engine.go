@@ -9,6 +9,7 @@ import (
 	"fairrank/internal/engine"
 	"fairrank/internal/fairness"
 	"fairrank/internal/geom"
+	"fairrank/internal/ranking"
 )
 
 // approxEngine adapts Approx to engine.Engine. refine selects the
@@ -45,7 +46,8 @@ func (e approxEngine) Suggest(w geom.Vector) (geom.Vector, float64, error) {
 }
 
 // SuggestBatch is the grid-engine arena kernel: the fairness check ranks
-// through the worker's shared partial-order buffer, the polar conversion and
+// through the worker's shared ranking buffers only as far as the oracle
+// reads (fairness.Reads), the polar conversion and
 // the Locate probes reuse the scratch angle buffers, angular distances go
 // through the scratch vectors, and every answer is carved from one per-chunk
 // arena — a constant number of allocations per chunk instead of three per
@@ -54,14 +56,14 @@ func (e approxEngine) Suggest(w geom.Vector) (geom.Vector, float64, error) {
 func (e approxEngine) SuggestBatch(dst []engine.Result, queries []geom.Vector, s *engine.Scratch) {
 	a := e.a
 	d := a.DS.D()
-	depth := fairness.InspectionDepth(a.Oracle)
+	need := fairness.Reads(a.Oracle)
 	arena := make([]float64, d*len(queries))
 	for i, q := range queries {
 		if len(q) != d {
 			dst[i] = engine.Result{Err: fmt.Errorf("cells: query dimension %d, want %d", len(q), d)}
 			continue
 		}
-		fair, err := s.CheckFair(a.DS, a.Oracle, q, depth)
+		fair, err := s.CheckFair(a.DS, a.Oracle, q, need)
 		if err != nil {
 			dst[i] = engine.Result{Err: err}
 			continue
@@ -106,7 +108,7 @@ type cellsCursor struct {
 func (e approxEngine) SuggestBatchSorted(dst []engine.Result, queries []geom.Vector, s *engine.Scratch) {
 	a := e.a
 	d := a.DS.D()
-	depth := fairness.InspectionDepth(a.Oracle)
+	need := fairness.Reads(a.Oracle)
 	cur, _ := s.Resume().(*cellsCursor)
 	if cur == nil || cur.a != a {
 		cur = &cellsCursor{a: a}
@@ -118,7 +120,7 @@ func (e approxEngine) SuggestBatchSorted(dst []engine.Result, queries []geom.Vec
 			dst[i] = engine.Result{Err: fmt.Errorf("cells: query dimension %d, want %d", len(q), d)}
 			continue
 		}
-		fair, err := s.CheckFair(a.DS, a.Oracle, q, depth)
+		fair, err := s.CheckFair(a.DS, a.Oracle, q, need)
 		if err != nil {
 			dst[i] = engine.Result{Err: err}
 			continue
@@ -185,14 +187,15 @@ func (a *Approx) Revalidate(ds *dataset.Dataset, oracle fairness.Oracle) (engine
 	if len(marked) > revalidateSample {
 		stride = (len(marked) + revalidateSample - 1) / revalidateSample
 	}
-	depth := fairness.InspectionDepth(oracle)
+	need := fairness.Reads(oracle)
 	counter := &fairness.Counter{O: oracle}
+	var bufs ranking.Buffers
 	w := make(geom.Vector, ds.D())
 	var report engine.DriftReport
 	for i := 0; i < len(marked); i += stride {
 		c := marked[i]
 		c.F.ToCartesianInto(1, w)
-		order, err := orderForOracle(ds, w, depth)
+		order, err := bufs.Rank(ds, w, need)
 		if err != nil {
 			return engine.DriftReport{}, err
 		}

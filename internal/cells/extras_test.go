@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
+	"fairrank/internal/engine"
 	"fairrank/internal/fairness"
 	"fairrank/internal/geom"
 )
@@ -28,8 +30,18 @@ func TestMarkCellsParallelMatchesSerial(t *testing.T) {
 	g2.AssignHyperplanes(hps)
 	// A deterministic oracle: satisfactory iff θ1 + θ2 < 1.1.
 	check := func(a geom.Angles) bool { return a[0]+a[1] < 1.1 }
-	s1 := MarkCellsParallel(g1, hps, check, 1, 0, 1)
-	s2 := MarkCellsParallel(g2, hps, check, 1, 0, 4)
+	// Every worker takes its own check from the factory, once.
+	var made atomic.Int64
+	newCheck := func() CheckFunc { made.Add(1); return check }
+	s1 := MarkCellsParallel(g1, hps, newCheck, 1, 0, 1)
+	if made.Load() != 1 {
+		t.Fatalf("serial marking made %d checks, want 1", made.Load())
+	}
+	made.Store(0)
+	s2 := MarkCellsParallel(g2, hps, newCheck, 1, 0, 4)
+	if made.Load() != 4 {
+		t.Fatalf("4 workers made %d checks, want 4", made.Load())
+	}
 	if s1.Marked != s2.Marked {
 		t.Fatalf("marked counts differ: serial %d vs parallel %d", s1.Marked, s2.Marked)
 	}
@@ -159,4 +171,53 @@ func TestPreprocessParallelWorkersConsistent(t *testing.T) {
 			t.Fatalf("cell %d marked status differs between worker counts", i)
 		}
 	}
+}
+
+// TestCappedBuildRetainsOnlyKeptHyperplanes pins the heap fix of fitting
+// only the kept pairs: a capped index retains a hyperplane slice whose
+// backing array holds exactly the kept hyperplanes (an all-pairs array cut
+// to the cap kept every fit alive, Θ(n²) of them), and every retained
+// coefficient vector is its own d−1 floats. The same holds after a repair.
+func TestCappedBuildRetainsOnlyKeptHyperplanes(t *testing.T) {
+	const n, d, maxH = 60, 3, 25
+	ds := colored(t, rand.New(rand.NewSource(71)), n, d)
+	oracle, err := fairness.NewTopK(ds, "color", 10, []fairness.GroupBound{{Group: "blue", Min: 4, Max: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, a *Approx) {
+		t.Helper()
+		hs := a.Hyperplanes
+		if len(hs) != maxH || cap(hs) != len(hs) {
+			t.Fatalf("%s: retains %d hyperplanes in an array of %d, want %d in %d", what, len(hs), cap(hs), maxH, maxH)
+		}
+		for i, h := range hs {
+			if len(h.Coef) != d-1 || cap(h.Coef) != d-1 {
+				t.Fatalf("%s: hyperplane %d coefficients len %d cap %d, want %d", what, i, len(h.Coef), cap(h.Coef), d-1)
+			}
+		}
+	}
+	a, err := Preprocess(ds, oracle, 200, Options{Seed: 3, MaxHyperplanes: maxH})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("build", a)
+
+	keep := make([]int, 0, n-1)
+	for i := 1; i < n; i++ {
+		keep = append(keep, i)
+	}
+	next, err := ds.Subset(keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nextOracle, err := fairness.NewTopK(next, "color", 10, []fairness.GroupBound{{Group: "blue", Min: 4, Max: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repaired, err := a.Repair(next, nextOracle, engine.Delta{Removed: []int{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("repair", repaired)
 }

@@ -36,22 +36,25 @@ func MarkCells(g *Grid, hps []geom.Hyperplane, check CheckFunc, rng *rand.Rand) 
 // arrangement exceeds maxRegions probed regions is abandoned (left for
 // CELLCOLORING). maxRegions ≤ 0 means unlimited.
 func MarkCellsCapped(g *Grid, hps []geom.Hyperplane, check CheckFunc, rng *rand.Rand, maxRegions int) MarkStats {
-	return MarkCellsParallel(g, hps, check, rng.Int63(), maxRegions, 1)
+	return MarkCellsParallel(g, hps, func() CheckFunc { return check }, rng.Int63(), maxRegions, 1)
 }
 
 // MarkCellsParallel runs MARKCELL over the cells with the given number of
 // worker goroutines (workers ≤ 0 uses GOMAXPROCS). Cells are independent,
 // so this parallelizes perfectly; each worker derives its own deterministic
 // rng from seed, keeping results reproducible for a fixed worker count.
-// check must be safe for concurrent use (the oracles in internal/fairness
-// are read-only after construction; wrap the call counter in an atomic if
-// exact counts matter under concurrency).
-func MarkCellsParallel(g *Grid, hps []geom.Hyperplane, check CheckFunc, seed int64, maxRegions, workers int) MarkStats {
+// Each worker calls newCheck once and probes only through the check it gets,
+// so a check may keep per-worker scratch; anything the checks share (the
+// oracle, a call counter) must be safe for concurrent use (the oracles in
+// internal/fairness are read-only after construction; count calls
+// atomically if exact counts matter under concurrency).
+func MarkCellsParallel(g *Grid, hps []geom.Hyperplane, newCheck func() CheckFunc, seed int64, maxRegions, workers int) MarkStats {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers == 1 {
 		var stats MarkStats
+		check := newCheck()
 		rng := rand.New(rand.NewSource(seed))
 		for _, c := range g.Cells {
 			f, ok := markCell(c, hps, check, rng, &stats, maxRegions)
@@ -74,6 +77,7 @@ func MarkCellsParallel(g *Grid, hps []geom.Hyperplane, check CheckFunc, seed int
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed + int64(w)*7919))
+			check := newCheck()
 			var local MarkStats
 			for c := range jobs {
 				f, ok := markCell(c, hps, check, rng, &local, maxRegions)

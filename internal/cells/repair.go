@@ -1,8 +1,6 @@
 package cells
 
 import (
-	"math/rand"
-
 	"fairrank/internal/arrangement"
 	"fairrank/internal/dataset"
 	"fairrank/internal/engine"
@@ -13,17 +11,18 @@ import (
 // Incremental repair of the grid index. The grid's marking cannot be patched
 // cell by cell: the serial MARKCELL pass threads one seeded rng through every
 // cell in order, so re-probing a subset would desynchronize the stream and
-// break the replay guarantee. What a patch *can* skip is the other dominant
-// offline cost — fitting one HYPERPOLAR hyperplane per non-dominating pair,
-// Θ(n²) matrix solves. A hyperplane is a deterministic function of its two
-// item value vectors, so every pair untouched by the delta reuses its
-// hyperplane bit for bit and only the O(c·n) pairs involving a changed item
-// are refitted. The full pipeline then re-runs (partition, assign, mark,
-// color) with the rng replayed exactly, so with serial marking (Workers ≤ 1)
-// the repaired index matches a from-scratch Preprocess byte for byte. With
-// parallel marking, cell→worker assignment is scheduling-dependent for
-// rebuild and repair alike, so neither run is reproducible — the repaired
-// index is then simply one of the valid indexes a rebuild could produce.
+// break the replay guarantee. What a patch can skip is refitting the kept
+// hyperplanes: a hyperplane is a deterministic function of its two item
+// value vectors, so every kept pair untouched by the delta reuses its fit
+// bit for bit (arrangement.FitHyperplanes). The full pipeline then re-runs
+// (partition, assign, mark, color) with the rng replayed exactly, so with
+// serial marking (Workers ≤ 1) the repaired index matches a from-scratch
+// Preprocess byte for byte. With parallel marking, cell→worker assignment
+// is scheduling-dependent for rebuild and repair alike, so neither run is
+// reproducible — the repaired index is then simply one of the valid indexes
+// a rebuild could produce. Reuse pays only for uncapped indexes
+// (MaxHyperplanes 0): a capped build fits just the kept pairs, so a capped
+// repair costs about what a rebuild does.
 
 // Repair returns a new index over the patched dataset equivalent to
 // Preprocess(ds, oracle, sameN, sameOptions) — byte-identical when the mark
@@ -37,11 +36,10 @@ func (a *Approx) Repair(ds *dataset.Dataset, oracle fairness.Oracle, delta engin
 	if err := delta.Validate(a.DS.N(), ds.N()); err != nil {
 		return nil, err
 	}
-	opt := a.buildOpts
 	remap := delta.Remap(a.DS.N())
 	// Every retained hyperplane whose pair survives is reusable under its
 	// remapped pair key. With a binding MaxHyperplanes cap this misses
-	// surviving pairs outside the old cap prefix; those are refitted —
+	// surviving pairs outside the old cap prefix; those are fitted afresh —
 	// correctness never depends on the map being complete.
 	reuse := make(map[arrangement.Pair]geom.Hyperplane, len(a.Hyperplanes))
 	for _, h := range a.Hyperplanes {
@@ -51,10 +49,7 @@ func (a *Approx) Repair(ds *dataset.Dataset, oracle fairness.Oracle, delta engin
 		}
 		reuse[arrangement.Pair{I: i, J: j}] = h
 	}
-	return preprocessWith(ds, oracle, a.buildN, opt, func(items []geom.Vector, rng *rand.Rand) ([]geom.Hyperplane, error) {
-		hps, _, _, err := arrangement.RepairHyperplanes(items, reuse, rng, opt.MaxHyperplanes)
-		return hps, err
-	})
+	return preprocessWith(ds, oracle, a.buildN, a.buildOpts, reuse)
 }
 
 // Repair implements engine.Patchable for the grid adapter.

@@ -36,15 +36,14 @@ func (e mdEngine) Suggest(w geom.Vector) (geom.Vector, float64, error) {
 
 // SuggestBatch is the exact-engine arena kernel. The fairness check — the
 // whole cost of the common already-fair query — ranks through the worker's
-// shared scratch buffers (the partial ordering when the oracle's inspection
-// depth is known, which by the InspectionDepth contract gives the identical
-// verdict to Baseline's full sort), and fair answers are carved out of one
+// shared scratch buffers only as far as the oracle reads (fairness.Reads),
+// the same probe Baseline makes, and fair answers are carved out of one
 // per-chunk arena. Unfair queries fall through to the per-region NLP solves,
 // whose cost dwarfs their allocations.
 func (e mdEngine) SuggestBatch(dst []engine.Result, queries []geom.Vector, s *engine.Scratch) {
 	idx := e.idx
 	d := idx.DS.D()
-	depth := fairness.InspectionDepth(idx.Oracle)
+	need := fairness.Reads(idx.Oracle)
 	arena := make([]float64, d*len(queries))
 	for i, q := range queries {
 		if len(q) != d {
@@ -52,7 +51,7 @@ func (e mdEngine) SuggestBatch(dst []engine.Result, queries []geom.Vector, s *en
 			dst[i] = engine.Result{Err: err}
 			continue
 		}
-		fair, err := s.CheckFair(idx.DS, idx.Oracle, q, depth)
+		fair, err := s.CheckFair(idx.DS, idx.Oracle, q, need)
 		if err != nil {
 			dst[i] = engine.Result{Err: err}
 			continue
@@ -88,8 +87,8 @@ func (e mdEngine) SuggestBatchSorted(dst []engine.Result, queries []geom.Vector,
 // list.
 //
 // Probes are drawn as an evenly-strided sample of at most revalidateSample
-// regions (mirroring the grid engine: each probe is a full O(n log n)
-// ranking, so the cap keeps one drift check bounded regardless of |Sat|).
+// regions (mirroring the grid engine: each probe ranks all n items, so the
+// cap keeps one drift check bounded regardless of |Sat|).
 // A sampled witness is probed only when its verdict holds under a fresh
 // ranking of the BUILD dataset: capped or d > 2 arrangements label regions
 // approximately, and probing a witness the index could never attest would
@@ -117,19 +116,19 @@ func (idx *MDIndex) Revalidate(ds *dataset.Dataset, oracle fairness.Oracle) (eng
 	var report engine.DriftReport
 	buildCounter := &fairness.Counter{O: idx.Oracle}
 	counter := &fairness.Counter{O: oracle}
-	buildDepth := fairness.InspectionDepth(idx.Oracle)
-	depth := fairness.InspectionDepth(oracle)
+	buildNeed, need := fairness.Reads(idx.Oracle), fairness.Reads(oracle)
+	var bufs ranking.Buffers
 	w := make(geom.Vector, ds.D())
 	for i := 0; i < len(idx.Sat); i += stride {
 		geom.Angles(idx.Sat[i].Witness).ToCartesianInto(1, w)
-		order, err := orderForDepth(idx.DS, w, buildDepth)
+		order, err := bufs.Rank(idx.DS, w, buildNeed)
 		if err != nil {
 			return engine.DriftReport{}, err
 		}
 		if !buildCounter.Check(order) {
 			continue // unattestable: the label was approximate here
 		}
-		order, err = orderForDepth(ds, w, depth)
+		order, err = bufs.Rank(ds, w, need)
 		if err != nil {
 			return engine.DriftReport{}, err
 		}
@@ -142,16 +141,6 @@ func (idx *MDIndex) Revalidate(ds *dataset.Dataset, oracle fairness.Oracle) (eng
 	}
 	report.OracleCalls = counter.Calls() + buildCounter.Calls()
 	return report, nil
-}
-
-// orderForDepth ranks for an oracle probe: the O(n + k log k) partial
-// ordering when the oracle's inspection depth is known, the full sort
-// otherwise (the same fast path the grid engine's probes use).
-func orderForDepth(ds *dataset.Dataset, w geom.Vector, depth int) ([]int, error) {
-	if depth > 0 {
-		return ranking.PartialOrder(ds, w, depth)
-	}
-	return ranking.Order(ds, w)
 }
 
 func (e mdEngine) Revalidate(ds *dataset.Dataset, oracle fairness.Oracle) (engine.DriftReport, error) {

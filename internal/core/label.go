@@ -27,13 +27,14 @@ func resolveLabelWorkers(workers, units int) int {
 }
 
 // labelRegionsByWitness labels every region by ranking the dataset at the
-// region's witness and asking the oracle — the plain SATREGIONS labeling
-// pass. Regions are independent, so the loop fans out across workers; every
-// region's verdict depends only on its own witness, making the labels
-// identical for any worker count.
+// region's witness, only as far as the oracle reads, and asking the oracle —
+// the plain SATREGIONS labeling pass. Regions are independent, so the loop
+// fans out across workers; every region's verdict depends only on its own
+// witness, making the labels identical for any worker count.
 func labelRegionsByWitness(idx *MDIndex, counter *fairness.Counter, workers int) error {
 	regions := idx.Arr.Regions()
 	workers = resolveLabelWorkers(workers, len(regions))
+	need := fairness.Reads(idx.Oracle)
 	var next atomic.Int64
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -42,14 +43,15 @@ func labelRegionsByWitness(idx *MDIndex, counter *fairness.Counter, workers int)
 		go func(w int) {
 			defer wg.Done()
 			var bufs ranking.Buffers
+			wv := make(geom.Vector, idx.DS.D())
 			for {
 				r := int(next.Add(1)) - 1
 				if r >= len(regions) {
 					return
 				}
 				reg := regions[r]
-				wv := geom.Angles(reg.Witness).ToCartesian(1)
-				order, err := bufs.Order(idx.DS, wv)
+				geom.Angles(reg.Witness).ToCartesianInto(1, wv)
+				order, err := bufs.Rank(idx.DS, wv, need)
 				if err != nil {
 					errs[w] = err
 					return

@@ -78,16 +78,15 @@ type MDIndex struct {
 	repairable bool
 }
 
-// SatRegions is Algorithm 4: build ordering-exchange hyperplanes for every
-// non-dominating pair, insert them into the arrangement, then label each
+// SatRegions is Algorithm 4: build ordering-exchange hyperplanes for the
+// non-dominating pairs, insert them into the arrangement, then label each
 // region by ordering the items at the region's witness function and asking
-// the oracle.
+// the oracle. Under a MaxHyperplanes cap only the kept pairs are fitted
+// (arrangement.FitHyperplanes).
 func SatRegions(ds *dataset.Dataset, oracle fairness.Oracle, opt Options) (*MDIndex, error) {
 	if ds.D() < 2 {
 		return nil, fmt.Errorf("core: need at least 2 scoring attributes, got %d", ds.D())
 	}
-	rng := rand.New(rand.NewSource(opt.Seed + 1))
-
 	items := make([]geom.Vector, 0, ds.N())
 	var itemIDs []int // hyperplane pair index → dataset item index
 	if opt.PruneTopK > 0 {
@@ -108,14 +107,19 @@ func SatRegions(ds *dataset.Dataset, oracle fairness.Oracle, opt Options) (*MDIn
 			itemIDs = append(itemIDs, i)
 		}
 	}
-	hs, err := arrangement.BuildHyperplanes(items)
+	return satRegions(ds, oracle, opt, items, itemIDs, nil)
+}
+
+// satRegions is SatRegions past candidate selection: fit the kept
+// hyperplanes over items, reusing the fits in reuse (nil for a build;
+// Repair passes the surviving pairs of the index it repairs), insert them,
+// and label the regions. Both callers replay the same seeded rng, so a
+// repair's arrangement is byte-identical to a build's.
+func satRegions(ds *dataset.Dataset, oracle fairness.Oracle, opt Options, items []geom.Vector, itemIDs []int, reuse map[arrangement.Pair]geom.Hyperplane) (*MDIndex, error) {
+	rng := rand.New(rand.NewSource(opt.Seed + 1))
+	hs, total, err := arrangement.FitHyperplanes(items, reuse, rng, opt.MaxHyperplanes)
 	if err != nil {
 		return nil, err
-	}
-	total := len(hs)
-	arrangement.ShuffleHyperplanes(hs, rng)
-	if opt.MaxHyperplanes > 0 && len(hs) > opt.MaxHyperplanes {
-		hs = hs[:opt.MaxHyperplanes]
 	}
 	arr := arrangement.New(geom.FullAngleBox(ds.D()), opt.UseTree, rng)
 	for _, h := range hs {
@@ -159,7 +163,8 @@ func (idx *MDIndex) Baseline(w geom.Vector) (geom.Vector, float64, error) {
 	if len(w) != idx.DS.D() {
 		return nil, 0, fmt.Errorf("core: query dimension %d, want %d", len(w), idx.DS.D())
 	}
-	order, err := ranking.Order(idx.DS, w)
+	var bufs ranking.Buffers
+	order, err := bufs.Rank(idx.DS, w, fairness.Reads(idx.Oracle))
 	if err != nil {
 		return nil, 0, err
 	}

@@ -254,3 +254,30 @@ func TestMaxHyperplanesCap(t *testing.T) {
 		t.Errorf("HyperplaneCount should report the uncapped total, got %d", idx.HyperplaneCount)
 	}
 }
+
+// TestCappedBuildRetainsOnlyKeptHyperplanes: a capped exact index holds
+// only the kept hyperplanes, and every coefficient vector it retains from
+// the builder is its own d−1 floats, pinning no larger array.
+func TestCappedBuildRetainsOnlyKeptHyperplanes(t *testing.T) {
+	const maxH = 12
+	ds := colored3D(t, rand.New(rand.NewSource(72)), 40)
+	oracle, err := fairness.NewTopK(ds, "color", 8, []fairness.GroupBound{{Group: "blue", Min: 3, Max: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := SatRegions(ds, oracle, Options{UseTree: true, MaxHyperplanes: maxH, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(idx.Arr.Hyperplanes); got != maxH {
+		t.Fatalf("arrangement holds %d hyperplanes, want %d", got, maxH)
+	}
+	if idx.HyperplaneCount <= maxH {
+		t.Fatalf("HyperplaneCount %d: the cap should bind", idx.HyperplaneCount)
+	}
+	for i, h := range idx.Arr.Hyperplanes {
+		if len(h.Coef) != 2 || cap(h.Coef) != 2 {
+			t.Fatalf("hyperplane %d coefficients len %d cap %d, want 2", i, len(h.Coef), cap(h.Coef))
+		}
+	}
+}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand"
-
 	"fairrank/internal/arrangement"
 	"fairrank/internal/dataset"
 	"fairrank/internal/engine"
@@ -10,19 +8,17 @@ import (
 	"fairrank/internal/geom"
 )
 
-// Incremental repair of the exact index. The dominant offline cost of
-// SatRegions is fitting one HYPERPOLAR hyperplane per non-dominating pair —
-// Θ(n²) matrix solves — before the shuffle even picks which ones the capped
-// arrangement will hold. A patch of c items invalidates only the O(c·n)
-// pairs touching a changed item: every surviving pair's hyperplane is a
-// deterministic function of its two (unchanged) item value vectors, so it
-// is reused bit for bit. The repair replays the rebuild's random choices
-// exactly — the pair list is enumerated in the same row-major order and
-// shuffled with the same seeded stream (rng.Shuffle consumes the stream as
-// a function of length only), leaving the rng in the identical state for
-// the arrangement construction's LP draws — so the resulting arrangement,
-// witnesses, region order, and labels match a from-scratch SatRegions run
-// byte for byte.
+// Incremental repair of the exact index. A patch of c items invalidates
+// only the pairs touching a changed item; every surviving pair's hyperplane
+// is a deterministic function of its two (unchanged) item value vectors, so
+// a fit the old arrangement holds is reused bit for bit. The repair replays
+// the build's random choices exactly — the pair list is enumerated in the
+// same row-major order and shuffled with the same seeded stream
+// (arrangement.FitHyperplanes) — so the resulting arrangement, witnesses,
+// region order, and labels match a from-scratch SatRegions run byte for
+// byte. Reuse pays only for uncapped indexes (MaxHyperplanes 0): a capped
+// build fits just the kept pairs, so a capped repair saves a few dozen fits
+// and costs about what a rebuild does.
 
 // Repair returns a new index over the patched dataset whose answers are
 // byte-identical to SatRegions(ds, oracle, sameOptions). The receiver keeps
@@ -35,12 +31,11 @@ func (idx *MDIndex) Repair(ds *dataset.Dataset, oracle fairness.Oracle, delta en
 	if err := delta.Validate(idx.DS.N(), ds.N()); err != nil {
 		return nil, err
 	}
-	opt := idx.buildOpts
 	remap := delta.Remap(idx.DS.N())
 	// Every hyperplane the old arrangement holds whose pair survives is
 	// reusable under its remapped pair key. With a binding MaxHyperplanes
 	// cap this misses surviving pairs outside the old cap prefix; those are
-	// refitted below — correctness never depends on the map being complete.
+	// fitted afresh — correctness never depends on the map being complete.
 	reuse := make(map[arrangement.Pair]geom.Hyperplane, len(idx.Arr.Hyperplanes))
 	for _, h := range idx.Arr.Hyperplanes {
 		i, j := remap[h.I], remap[h.J]
@@ -49,46 +44,13 @@ func (idx *MDIndex) Repair(ds *dataset.Dataset, oracle fairness.Oracle, delta en
 		}
 		reuse[arrangement.Pair{I: i, J: j}] = h
 	}
-
-	rng := rand.New(rand.NewSource(opt.Seed + 1))
 	items := make([]geom.Vector, ds.N())
 	itemIDs := make([]int, ds.N())
 	for i := range items {
 		items[i] = ds.Item(i)
 		itemIDs[i] = i
 	}
-	hs, total, _, err := arrangement.RepairHyperplanes(items, reuse, rng, opt.MaxHyperplanes)
-	if err != nil {
-		return nil, err
-	}
-	arr := arrangement.New(geom.FullAngleBox(ds.D()), opt.UseTree, rng)
-	for _, h := range hs {
-		arr.Insert(h)
-	}
-	out := &MDIndex{
-		Arr:             arr,
-		Oracle:          oracle,
-		DS:              ds,
-		HyperplaneCount: total,
-		querySeed:       opt.Seed + 1,
-		buildOpts:       opt,
-		repairable:      true,
-	}
-	counter := &fairness.Counter{O: oracle}
-	if opt.IncrementalLabeling {
-		if err := labelRegionsIncremental(out, counter, itemIDs, opt.Workers); err != nil {
-			return nil, err
-		}
-	} else if err := labelRegionsByWitness(out, counter, opt.Workers); err != nil {
-		return nil, err
-	}
-	for _, r := range arr.Regions() {
-		if r.Satisfactory {
-			out.Sat = append(out.Sat, r)
-		}
-	}
-	out.OracleCalls = counter.Calls()
-	return out, nil
+	return satRegions(ds, oracle, idx.buildOpts, items, itemIDs, reuse)
 }
 
 // Repair implements engine.Patchable for the exact adapter.

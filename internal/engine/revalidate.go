@@ -54,10 +54,12 @@ func RevalidateUnsatisfiable(build *dataset.Dataset, buildOracle fairness.Oracle
 	}
 	baselineCounter := &fairness.Counter{O: buildOracle}
 	counter := &fairness.Counter{O: oracle}
+	buildNeed, need := fairness.Reads(buildOracle), fairness.Reads(oracle)
+	var bufs ranking.Buffers
 	var report DriftReport
 	for i, w := range dirs {
 		if build != nil {
-			order, err := ranking.Order(build, w)
+			order, err := bufs.Rank(build, w, buildNeed)
 			if err != nil {
 				return DriftReport{}, err
 			}
@@ -65,7 +67,7 @@ func RevalidateUnsatisfiable(build *dataset.Dataset, buildOracle fairness.Oracle
 				continue // unattestable: the verdict never held here
 			}
 		}
-		order, err := ranking.Order(ds, w)
+		order, err := bufs.Rank(ds, w, need)
 		if err != nil {
 			return DriftReport{}, err
 		}

@@ -83,22 +83,12 @@ func (s *Scratch) Reset() {
 	}
 }
 
-// OrderFor ranks ds under w into the scratch buffers: the O(n + k log k)
-// partial ordering when the oracle's inspection depth k is known, the full
-// sort otherwise. The returned slice aliases the scratch and is valid until
-// the next call.
-func (s *Scratch) OrderFor(ds *dataset.Dataset, w geom.Vector, depth int) ([]int, error) {
-	if depth > 0 {
-		return s.rank.PartialOrder(ds, w, depth)
-	}
-	return s.rank.Order(ds, w)
-}
-
 // CheckFair evaluates the oracle on the ordering w induces, ranking through
-// the scratch buffers. depth is fairness.InspectionDepth(oracle), hoisted by
-// the caller so a chunk pays the type assertions once.
-func (s *Scratch) CheckFair(ds *dataset.Dataset, oracle fairness.Oracle, w geom.Vector, depth int) (bool, error) {
-	order, err := s.OrderFor(ds, w, depth)
+// the scratch buffers only as far as need says the oracle reads. need is
+// fairness.Reads(oracle), hoisted by the caller so a chunk pays the type
+// switch once.
+func (s *Scratch) CheckFair(ds *dataset.Dataset, oracle fairness.Oracle, w geom.Vector, need ranking.Need) (bool, error) {
+	order, err := s.rank.Rank(ds, w, need)
 	if err != nil {
 		return false, err
 	}

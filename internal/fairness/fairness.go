@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 
 	"fairrank/internal/dataset"
+	"fairrank/internal/ranking"
 )
 
 // Oracle decides whether an ordering of the dataset (a permutation of item
@@ -91,9 +92,15 @@ func NewTopK(ds *dataset.Dataset, attr string, k int, bounds []GroupBound) (*Top
 // K returns the top-k cutoff.
 func (t *TopK) K() int { return t.k }
 
-// Check implements Oracle in O(k + #bounds).
+// Check implements Oracle in O(k + #bounds). It reads only which items
+// hold order[:k], never their order. Attributes with up to eight groups
+// count on the stack, so a probe allocates nothing.
 func (t *TopK) Check(order []int) bool {
-	counts := make([]int, t.groups)
+	var small [8]int
+	counts := small[:]
+	if t.groups > len(small) {
+		counts = make([]int, t.groups)
+	}
 	for _, item := range order[:t.k] {
 		counts[t.values[item]]++
 	}
@@ -276,46 +283,54 @@ func (pf *Prefix) Check(order []int) bool {
 	return true
 }
 
-// K returns the prefix length the oracle inspects (TopKAware).
-func (pf *Prefix) K() int { return pf.k }
-
-// InspectionDepth returns the longest ordering prefix the oracle can
-// possibly inspect, or 0 when that cannot be determined (the oracle may
-// read the whole ordering). Index builders use a positive depth to rank
-// items partially — O(n + k log k) instead of O(n log n) per oracle probe.
-func InspectionDepth(o Oracle) int {
+// Reads reports what the oracle's Check reads of an ordering, so a probe
+// can rank no more than that (ranking.Buffers.Rank): the prefix length K
+// (0 when the oracle may read the whole ordering) and whether only the
+// membership of order[:K] matters. A TopK counts group members in its
+// prefix and reads membership only; a Prefix walks its prefix in order.
+// Counter and Not report their inner oracle. Func and unknown oracles may
+// read anything and get the full ordering.
+func Reads(o Oracle) ranking.Need {
 	switch v := o.(type) {
 	case *TopK:
-		return v.k
+		return ranking.Need{K: v.k, SetOnly: true}
 	case *Prefix:
-		return v.k
+		return ranking.Need{K: v.k}
 	case *Counter:
-		return InspectionDepth(v.O)
+		return Reads(v.O)
 	case Not:
-		return InspectionDepth(v.O)
+		return Reads(v.O)
 	case All:
-		return combinedDepth(v)
+		return combinedReads(v)
 	case Any:
-		return combinedDepth(v)
+		return combinedReads(v)
 	default:
-		return 0
+		return ranking.Need{}
 	}
 }
 
-// combinedDepth returns the max of the members' depths, or 0 when any
-// member's depth is unknown.
-func combinedDepth(members []Oracle) int {
-	depth := 0
-	for _, m := range members {
-		d := InspectionDepth(m)
-		if d == 0 {
-			return 0
+// combinedReads is the need of a combinator: membership only when every
+// member reads membership only at one shared K. Members with different K
+// get the sorted prefix at the largest K instead — given an unsorted
+// top-40 set, a k=10 member would count the wrong ten items. Any member
+// that may read everything makes the combinator read everything.
+func combinedReads(members []Oracle) ranking.Need {
+	var need ranking.Need
+	for i, m := range members {
+		r := Reads(m)
+		if r.K <= 0 {
+			return ranking.Need{}
 		}
-		if d > depth {
-			depth = d
+		if i == 0 {
+			need = r
+			continue
 		}
+		if !r.SetOnly || r.K != need.K {
+			need.SetOnly = false
+		}
+		need.K = max(need.K, r.K)
 	}
-	return depth
+	return need
 }
 
 // Counter wraps an oracle and counts Check calls; every offline algorithm in

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fairrank/internal/dataset"
+	"fairrank/internal/ranking"
 )
 
 // mk builds a 10-item dataset with a binary "g" attribute: items 0-5 are
@@ -230,28 +231,37 @@ func TestPrefix(t *testing.T) {
 	}
 }
 
-func TestInspectionDepth(t *testing.T) {
+func TestReads(t *testing.T) {
 	ds := mk(t)
 	topk, _ := NewTopK(ds, "g", 4, []GroupBound{{Group: "a", Max: 2}})
+	topk6, _ := NewTopK(ds, "g", 6, []GroupBound{{Group: "b", Min: 1, Max: -1}})
 	prefix, _ := NewPrefix(ds, "g", "b", 6, 0.3, 0)
 	opaque := Func(func([]int) bool { return true })
+	set := func(k int) ranking.Need { return ranking.Need{K: k, SetOnly: true} }
+	sorted := func(k int) ranking.Need { return ranking.Need{K: k} }
 	cases := []struct {
 		o    Oracle
-		want int
+		want ranking.Need
 	}{
-		{topk, 4},
-		{prefix, 6},
-		{opaque, 0},
-		{All{topk, prefix}, 6},
-		{All{topk, opaque}, 0}, // any unknown member poisons the depth
-		{Any{topk, prefix}, 6},
-		{Not{topk}, 4},
-		{&Counter{O: prefix}, 6},
-		{All{}, 0},
+		{topk, set(4)},
+		{prefix, sorted(6)},
+		{opaque, sorted(0)},
+		{All{topk, prefix}, sorted(6)},
+		{All{topk, opaque}, sorted(0)}, // any unknown member reads everything
+		{Any{topk, prefix}, sorted(6)},
+		{All{topk, topk}, set(4)},      // one shared K: membership suffices
+		{Any{topk, Not{topk}}, set(4)}, // Not passes its member's need through
+		{All{topk, topk6}, sorted(6)},  // mixed K: the k=4 member needs the true top 4
+		{Any{topk6, topk}, sorted(6)},  // member order does not matter
+		{All{prefix, topk6}, sorted(6)},
+		{Not{topk}, set(4)},
+		{&Counter{O: prefix}, sorted(6)},
+		{&Counter{O: topk}, set(4)},
+		{All{}, sorted(0)},
 	}
 	for i, c := range cases {
-		if got := InspectionDepth(c.o); got != c.want {
-			t.Errorf("case %d: InspectionDepth = %d, want %d", i, got, c.want)
+		if got := Reads(c.o); got != c.want {
+			t.Errorf("case %d: Reads = %+v, want %+v", i, got, c.want)
 		}
 	}
 }

@@ -5,6 +5,7 @@
 package geom
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -26,10 +27,15 @@ func (v Vector) Clone() Vector {
 	return c
 }
 
+// errDotDims is Dot's panic value. A fixed value keeps Dot under the
+// compiler's inlining budget, which formatting the two lengths would exceed;
+// every ranking fill and solver evaluation calls Dot once per item.
+var errDotDims = errors.New("geom: dot of mismatched dimensions")
+
 // Dot returns the inner product of v and u. It panics if dimensions differ.
 func (v Vector) Dot(u Vector) float64 {
 	if len(v) != len(u) {
-		panic(fmt.Sprintf("geom: dot of mismatched dimensions %d and %d", len(v), len(u)))
+		panic(errDotDims)
 	}
 	var s float64
 	for i := range v {

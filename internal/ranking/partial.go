@@ -2,71 +2,94 @@ package ranking
 
 import (
 	"fmt"
-	"sort"
 
 	"fairrank/internal/dataset"
 	"fairrank/internal/geom"
 )
 
-// PartialOrder returns an ordering of the item indices whose first k
-// entries are exactly the top-k of the full ordering (score descending,
-// ties by ascending index), with the remaining entries in unspecified
-// order. It runs in O(n + k log k) expected time via quickselect instead
-// of the O(n log n) full sort — the fast path for fairness oracles that
-// inspect only a top-k prefix.
-func PartialOrder(ds *dataset.Dataset, w geom.Vector, k int) ([]int, error) {
-	// A throwaway buffer: the result aliases it, which is fine since nothing
-	// else ever sees it.
-	return new(Buffers).PartialOrder(ds, w, k)
+// Need names the part of an ordering a reader inspects, so that a probe
+// ranks no more than that. K is the prefix length; K ≤ 0 means the reader
+// may inspect the whole ordering. SetOnly means only which items occupy
+// order[:K] matters, not their order among themselves.
+type Need struct {
+	K       int
+	SetOnly bool
 }
 
-// PartialOrder is ranking.PartialOrder into the reusable buffers — the
-// per-query ranking step of the batch kernels, which would otherwise
-// allocate an order and a score slice per query. The returned slice aliases
-// the buffer and is valid until the next call.
-func (b *Buffers) PartialOrder(ds *dataset.Dataset, w geom.Vector, k int) ([]int, error) {
-	if k >= ds.N() {
-		return b.Order(ds, w)
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("ranking: PartialOrder needs k ≥ 1, got %d", k)
-	}
+// Rank ranks ds under w into the buffers, producing only what need asks
+// for — the one ranking step of every oracle probe:
+//
+//   - SetOnly: order[:K] holds the K best items, in unspecified order
+//     (selection alone, O(n) expected);
+//   - K in [1, n): order[:K] is the sorted top-K, equal to Order's prefix
+//     (selection, then sortByScore on the prefix, O(n + K log K));
+//   - otherwise: the full ordering, equal to Order (O(n log n)).
+//
+// The rest of the slice holds the remaining items in unspecified order.
+// Because the ordering is strict (score descending, ties by ascending
+// index), the selected set and any sorted prefix are unique: an oracle that
+// reads no more than need gives the same verdict on this slice as on Order.
+// The returned slice aliases the buffers and is valid until the next call.
+func (b *Buffers) Rank(ds *dataset.Dataset, w geom.Vector, need Need) ([]int, error) {
 	s, order, err := b.fill(ds, w)
 	if err != nil {
 		return nil, err
 	}
-	partialSort(order, s, k)
+	k := need.K
+	switch {
+	case k >= len(order) && need.SetOnly:
+		// Every item is in the set: the identity permutation serves.
+	case k <= 0 || k >= len(order):
+		sortByScore(order, s)
+	default:
+		selectTop(order, s, k)
+		if !need.SetOnly {
+			sortByScore(order[:k], s)
+		}
+	}
 	return order, nil
 }
 
-// partialSort places the k best items (score descending, ties by ascending
-// index), exactly sorted, at the front of order.
-func partialSort(order []int, s []float64, k int) {
-	better := func(a, b int) bool {
-		if s[a] != s[b] {
-			return s[a] > s[b]
-		}
-		return a < b
+// PartialOrder returns an ordering of the item indices whose first k
+// entries are exactly the top-k of the full ordering (score descending,
+// ties by ascending index), with the remaining entries in unspecified
+// order: Rank with Need{K: k} into fresh buffers. k ≥ n gives the full
+// ordering.
+func PartialOrder(ds *dataset.Dataset, w geom.Vector, k int) ([]int, error) {
+	if k <= 0 {
+		return nil, fmt.Errorf("ranking: PartialOrder needs k ≥ 1, got %d", k)
 	}
-	quickselect(order, k, better)
-	sort.Slice(order[:k], func(i, j int) bool { return better(order[i], order[j]) })
+	return new(Buffers).Rank(ds, w, Need{K: k})
 }
 
-// quickselect partitions order so that the k best items (per better) occupy
-// order[:k], in expected linear time (median-of-three pivots; insertion
-// fallback for small ranges).
-func quickselect(order []int, k int, better func(a, b int) bool) {
+// better reports whether item a ranks ahead of item b: the strict order of
+// sortByScore. A plain function of the score slice rather than a closure,
+// so the selection loop inlines every comparison.
+func better(s []float64, a, b int) bool {
+	switch {
+	case s[a] > s[b]:
+		return true
+	case s[a] < s[b]:
+		return false
+	}
+	return a < b
+}
+
+// selectTop partitions order so that the k best items occupy order[:k], in
+// expected linear time (quickselect with median-of-three pivots, insertion
+// sort for small ranges). Deterministic: the pivot choice draws no random
+// numbers.
+func selectTop(order []int, s []float64, k int) {
 	lo, hi := 0, len(order)
-	// Deterministic pivot choice keeps results reproducible.
 	for hi-lo > 12 {
 		mid := lo + (hi-lo)/2
 		// Median of three: order[lo], order[mid], order[hi-1].
 		a, b, c := order[lo], order[mid], order[hi-1]
 		var pivot int
 		switch {
-		case better(a, b) == better(b, c):
+		case better(s, a, b) == better(s, b, c):
 			pivot = b
-		case better(b, a) == better(a, c):
+		case better(s, b, a) == better(s, a, c):
 			pivot = a
 		default:
 			pivot = c
@@ -74,10 +97,10 @@ func quickselect(order []int, k int, better func(a, b int) bool) {
 		// Partition around pivot.
 		i, j := lo, hi-1
 		for i <= j {
-			for better(order[i], pivot) {
+			for better(s, order[i], pivot) {
 				i++
 			}
-			for better(pivot, order[j]) {
+			for better(s, pivot, order[j]) {
 				j--
 			}
 			if i <= j {
@@ -97,14 +120,8 @@ func quickselect(order []int, k int, better func(a, b int) bool) {
 	}
 	// Insertion sort the small remaining window.
 	for i := lo + 1; i < hi; i++ {
-		for j := i; j > lo && better(order[j], order[j-1]); j-- {
+		for j := i; j > lo && better(s, order[j], order[j-1]); j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
-}
-
-// TopKAware is implemented by oracles that only inspect the first K items
-// of an ordering; index builders use it to rank partially instead of fully.
-type TopKAware interface {
-	K() int
 }

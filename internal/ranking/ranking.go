@@ -54,16 +54,16 @@ func sortByScore(order []int, s []float64) {
 	})
 }
 
-// Buffers holds reusable score and order scratch space for repeated full
-// sorts over the same dataset — the sweep's segment seeds and tie-group
-// rebuilds would otherwise allocate two slices per rebuild.
+// Buffers holds reusable score and order scratch space for repeated
+// rankings over the same dataset — the sweep's segment seeds, and every
+// oracle probe (Rank), would otherwise allocate two slices per ranking.
 type Buffers struct {
 	scores []float64
 	order  []int
 }
 
 // fill computes scores and the identity permutation into the reusable
-// buffers — the shared front half of Order and PartialOrder. The returned
+// buffers — the shared front half of Order and Rank. The returned
 // slices alias the buffers and are valid until the next call.
 func (b *Buffers) fill(ds *dataset.Dataset, w geom.Vector) ([]float64, []int, error) {
 	if len(w) != ds.D() {

@@ -13,7 +13,8 @@ import (
 
 // Revalidate probes each satisfactory interval of the index at its
 // midpoint against a (possibly updated) dataset and oracle, in
-// O(#intervals · n log n) — far cheaper than re-running the ray sweep.
+// O(#intervals · n log n) at most (each probe ranks only as far as the
+// oracle reads) — far cheaper than re-running the ray sweep.
 // A failed probe means the data has drifted enough that the index should
 // be rebuilt (the probe is a spot check, not a proof: an interval may also
 // have fractured internally). The paper's introduction motivates exactly
@@ -34,10 +35,12 @@ func (idx *Index) Revalidate(ds *dataset.Dataset, oracle fairness.Oracle) (engin
 	}
 	report := engine.DriftReport{Probes: len(idx.intervals)}
 	counter := &fairness.Counter{O: oracle}
+	need := fairness.Reads(oracle)
+	var bufs ranking.Buffers
 	for i, iv := range idx.intervals {
 		mid := (iv.Start + iv.End) / 2
 		w := geom.Vector{math.Cos(mid), math.Sin(mid)}
-		order, err := ranking.Order(ds, w)
+		order, err := bufs.Rank(ds, w, need)
 		if err != nil {
 			return engine.DriftReport{}, err
 		}
