@@ -11,7 +11,10 @@
 //
 // Unparseable lines are ignored, so the raw `go test` stream can be piped in
 // unfiltered; -filter keeps only benchmarks whose name matches the regexp,
-// so one bench run can feed several archives.
+// so one bench run can feed several archives. Repeated lines of one
+// benchmark (a `-count` run) fold into one result holding the per-metric
+// medians before anything is archived or compared. The stream's `goos:`,
+// `goarch:` and `cpu:` header lines are archived as the document's host.
 //
 // With -compare, the parsed results are checked against a previously
 // archived baseline: the CI perf-regression gate. For every benchmark
@@ -20,7 +23,7 @@
 // (fractional; 0.25 = 25% slower). Any regression prints a report and exits
 // non-zero, failing the job. Benchmarks missing from either side are
 // reported but do not fail, so filters and newly added benchmarks don't
-// break the gate.
+// break the gate. The report names the baseline's host, which does not gate.
 package main
 
 import (
@@ -30,8 +33,10 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -72,18 +77,84 @@ func parseLine(line string) (result, bool) {
 	return r, len(r.Metrics) > 0
 }
 
+// hostKeys are the `go test -bench` header lines that describe the machine.
+var hostKeys = []string{"goos", "goarch", "cpu"}
+
 // collect parses a `go test -bench` stream, keeping the benchmarks whose
-// name matches keep (nil keeps everything).
-func collect(in io.Reader, keep *regexp.Regexp) ([]result, error) {
+// name matches keep (nil keeps everything), folded by name (see fold), and
+// the host the stream's header lines describe.
+func collect(in io.Reader, keep *regexp.Regexp) ([]result, map[string]string, error) {
 	var results []result
+	host := map[string]string{}
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		if r, ok := parseLine(sc.Text()); ok && (keep == nil || keep.MatchString(r.Name)) {
+		line := sc.Text()
+		if k, v, ok := strings.Cut(line, ":"); ok && slices.Contains(hostKeys, k) {
+			host[k] = strings.TrimSpace(v)
+			continue
+		}
+		if r, ok := parseLine(line); ok && (keep == nil || keep.MatchString(r.Name)) {
 			results = append(results, r)
 		}
 	}
-	return results, sc.Err()
+	return fold(results), host, sc.Err()
+}
+
+// fold merges the repeated lines of each benchmark into one result, in the
+// order names first appear: the iteration count and every metric become the
+// median over the repetitions that report it. One noisy repetition of a
+// `-count 3` run then neither fails the gate nor lands in an archive.
+func fold(results []result) []result {
+	var names []string
+	reps := map[string][]result{}
+	for _, r := range results {
+		if _, ok := reps[r.Name]; !ok {
+			names = append(names, r.Name)
+		}
+		reps[r.Name] = append(reps[r.Name], r)
+	}
+	out := make([]result, 0, len(names))
+	for _, name := range names {
+		var iters []float64
+		values := map[string][]float64{}
+		for _, r := range reps[name] {
+			iters = append(iters, float64(r.Iterations))
+			for m, v := range r.Metrics {
+				values[m] = append(values[m], v)
+			}
+		}
+		f := result{Name: name, Iterations: int64(math.Round(median(iters))), Metrics: map[string]float64{}}
+		for m, vs := range values {
+			f.Metrics[m] = median(vs)
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// median of a non-empty sample; the mean of the middle two for even sizes.
+func median(v []float64) float64 {
+	s := slices.Sorted(slices.Values(v))
+	m := len(s) / 2
+	if len(s)%2 == 1 {
+		return s[m]
+	}
+	return (s[m-1] + s[m]) / 2
+}
+
+// hostLine renders a host map for the report.
+func hostLine(host map[string]string) string {
+	var parts []string
+	for _, k := range hostKeys {
+		if v, ok := host[k]; ok {
+			parts = append(parts, k+"="+v)
+		}
+	}
+	if len(parts) == 0 {
+		return "unknown"
+	}
+	return strings.Join(parts, " ")
 }
 
 // timeMetrics are the lower-is-better metrics the regression gate checks.
@@ -134,19 +205,23 @@ func compareResults(current, baseline []result, maxRegress float64) (report []st
 	return report, regressed
 }
 
+// archive is the JSON document benchjson writes and -compare reads back.
+type archive struct {
+	Host       map[string]string `json:"host,omitempty"`
+	Benchmarks []result          `json:"benchmarks"`
+}
+
 // loadBaseline reads a benchjson archive back in.
-func loadBaseline(path string) ([]result, error) {
+func loadBaseline(path string) (archive, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return archive{}, err
 	}
-	var doc struct {
-		Benchmarks []result `json:"benchmarks"`
-	}
+	var doc archive
 	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
+		return archive{}, fmt.Errorf("parsing baseline %s: %w", path, err)
 	}
-	return doc.Benchmarks, nil
+	return doc, nil
 }
 
 func main() {
@@ -163,7 +238,7 @@ func main() {
 			log.Fatalf("bad -filter: %v", err)
 		}
 	}
-	results, err := collect(os.Stdin, keep)
+	results, host, err := collect(os.Stdin, keep)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -172,7 +247,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		report, regressed := compareResults(results, baseline, *maxRegress)
+		fmt.Printf("host    baseline: %s; this run: %s\n", hostLine(baseline.Host), hostLine(host))
+		report, regressed := compareResults(results, baseline.Benchmarks, *maxRegress)
 		for _, line := range report {
 			fmt.Println(line)
 		}
@@ -184,7 +260,7 @@ func main() {
 			return
 		}
 	}
-	doc, err := json.MarshalIndent(map[string]any{"benchmarks": results}, "", "  ")
+	doc, err := json.MarshalIndent(archive{Host: host, Benchmarks: results}, "", "  ")
 	if err != nil {
 		log.Fatal(err)
 	}

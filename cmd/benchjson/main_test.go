@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
@@ -100,18 +101,81 @@ func TestCollectFilter(t *testing.T) {
 		"BenchmarkBatchExactSuggestBatch \t10\t2868775 ns/op\t2868775 ns/query",
 		"PASS",
 	}, "\n")
-	all, err := collect(strings.NewReader(stream), nil)
+	all, _, err := collect(strings.NewReader(stream), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) != 3 {
 		t.Fatalf("unfiltered results = %d, want 3", len(all))
 	}
-	batch, err := collect(strings.NewReader(stream), regexp.MustCompile("^BenchmarkBatch"))
+	batch, _, err := collect(strings.NewReader(stream), regexp.MustCompile("^BenchmarkBatch"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(batch) != 2 || batch[0].Name != "BenchmarkBatch2DSuggest" || batch[1].Name != "BenchmarkBatchExactSuggestBatch" {
 		t.Fatalf("filtered results = %+v", batch)
+	}
+}
+
+// A `-count 3` stream folds into one result per benchmark holding each
+// metric's median, and its header lines become the host.
+func TestCollectFoldsRepeatsToMedians(t *testing.T) {
+	stream := strings.Join([]string{
+		"goos: linux",
+		"goarch: amd64",
+		"pkg: fairrank",
+		"cpu: Example CPU @ 2.00GHz",
+		"BenchmarkPatchRepair2D-2 \t100\t30 ns/op\t5 B/op",
+		"BenchmarkPatchRebuild2D-2 \t10\t200 ns/op",
+		"BenchmarkPatchRepair2D-2 \t90\t10 ns/op\t7 B/op",
+		"BenchmarkPatchRepair2D-2 \t120\t20 ns/op\t6 B/op",
+		"BenchmarkPatchRebuild2D-2 \t12\t100 ns/op",
+		"PASS",
+	}, "\n")
+	got, host, err := collect(strings.NewReader(stream), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Name != "BenchmarkPatchRepair2D" || got[1].Name != "BenchmarkPatchRebuild2D" {
+		t.Fatalf("folded results = %+v, want one per name in first-seen order", got)
+	}
+	if m := got[0].Metrics; m["ns/op"] != 20 || m["B/op"] != 6 || got[0].Iterations != 100 {
+		t.Errorf("odd count: %+v, want medians ns/op 20, B/op 6, iterations 100", got[0])
+	}
+	if m := got[1].Metrics; m["ns/op"] != 150 || got[1].Iterations != 11 {
+		t.Errorf("even count: %+v, want the mean of the middle two", got[1])
+	}
+	want := map[string]string{"goos": "linux", "goarch": "amd64", "cpu": "Example CPU @ 2.00GHz"}
+	if len(host) != len(want) {
+		t.Fatalf("host = %v, want %v", host, want)
+	}
+	for k, v := range want {
+		if host[k] != v {
+			t.Errorf("host[%s] = %q, want %q", k, host[k], v)
+		}
+	}
+}
+
+// With -count 3, the gate compares medians: one slow repetition passes,
+// two of three slow repetitions fail.
+func TestCompareResultsMedianOfRepeats(t *testing.T) {
+	baseline := []result{res("BenchmarkPatchRepair2D", map[string]float64{"ns/op": 100})}
+	run := func(a, b, c float64) bool {
+		stream := fmt.Sprintf("BenchmarkPatchRepair2D-2 10 %g ns/op\nBenchmarkPatchRepair2D-2 10 %g ns/op\nBenchmarkPatchRepair2D-2 10 %g ns/op\n", a, b, c)
+		cur, _, err := collect(strings.NewReader(stream), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, regressed := compareResults(cur, baseline, 0.25)
+		if len(report) != 1 {
+			t.Fatalf("repeats must gate once, got report:\n%s", strings.Join(report, "\n"))
+		}
+		return regressed
+	}
+	if run(100, 200, 105) {
+		t.Error("one slow repetition of three must not fail the gate")
+	}
+	if !run(140, 100, 150) {
+		t.Error("two slow repetitions of three must fail the gate")
 	}
 }

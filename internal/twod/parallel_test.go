@@ -154,7 +154,7 @@ func TestSweepEquivalencePruned(t *testing.T) {
 
 // The radix branch of sortExchanges (taken above 1<<14 elements) must agree
 // with the comparison sort. Inputs are generated in ascending (I, J) order
-// with heavily duplicated thetas — the stability precondition buildRows
+// with heavily duplicated thetas — the stability precondition pairs.fill
 // provides and the ties the radix sort must keep in (I, J) order.
 func TestSortExchangesRadixMatchesComparisonSort(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
@@ -163,12 +163,12 @@ func TestSortExchangesRadixMatchesComparisonSort(t *testing.T) {
 		for j := i + 1; j < i+60; j++ {
 			// Quantized thetas force long runs of exact ties.
 			theta := float64(r.Intn(500)) * 1e-3
-			ex = append(ex, Exchange{Theta: theta, I: i, J: j})
+			ex = append(ex, Exchange{Theta: theta, I: int32(i), J: int32(j)})
 		}
 	}
 	want := append([]Exchange(nil), ex...)
 	slicesSortFuncRef(want)
-	sortExchanges(ex)
+	sortExchanges(ex, nil)
 	if len(ex) < 1<<14 {
 		t.Fatalf("test input too small to reach the radix path: %d", len(ex))
 	}

@@ -2,12 +2,10 @@ package twod
 
 import (
 	"fmt"
-	"math"
 
 	"fairrank/internal/dataset"
 	"fairrank/internal/engine"
 	"fairrank/internal/fairness"
-	"fairrank/internal/geom"
 )
 
 // Incremental repair of the 2D index. An item participates in O(n) ordering
@@ -39,22 +37,14 @@ func (idx *Index) Repair(ds *dataset.Dataset, oracle fairness.Oracle, delta engi
 	if err := delta.Validate(idx.n, ds.N()); err != nil {
 		return nil, err
 	}
-	remap := delta.Remap(idx.n)
-	retained := make([]Exchange, 0, len(idx.exchanges))
-	for _, e := range idx.exchanges {
-		i, j := remap[e.I], remap[e.J]
-		if i < 0 || j < 0 {
-			continue // touches a removed item
-		}
-		// The remap is monotone, so i < j still holds and the retained
-		// slice stays in cmpExchange order (theta unchanged, relative index
-		// order within equal thetas unchanged).
-		retained = append(retained, Exchange{Theta: e.Theta, I: i, J: j})
-	}
-	firstNew := idx.n - len(delta.Removed)
-	fresh := addedExchanges(ds, firstNew)
-	sortExchanges(fresh)
-	merged := mergeExchanges(retained, fresh)
+	// Fresh exchanges: every pair with at least one endpoint among the
+	// items the patch appended, enumerated by the build's own filter.
+	xs, ys := coords(ds)
+	added := pairs{xs: xs, ys: ys, rowHi: ds.N(), colLo: idx.n - len(delta.Removed)}
+	fresh := make([]Exchange, added.count())
+	added.fill(fresh)
+	sortExchanges(fresh, nil)
+	merged := remapMerge(idx.exchanges, delta.Remap(idx.n), len(delta.Removed) > 0, fresh)
 	out, err := sweepIndex(ds, oracle, merged, idx.buildOpts)
 	if err != nil {
 		return nil, err
@@ -66,41 +56,39 @@ func (idx *Index) Repair(ds *dataset.Dataset, oracle fairness.Oracle, delta engi
 	return out, nil
 }
 
-// addedExchanges enumerates the exchanges of every pair with at least one
-// endpoint in [firstNew, n) — the items the patch appended. The loop body is
-// the pair filter and angle arithmetic of exchangeAngles.buildRows verbatim,
-// so each produced Exchange is bit-identical to the one a rebuild computes
-// for the same pair.
-func addedExchanges(ds *dataset.Dataset, firstNew int) []Exchange {
-	n := ds.N()
-	const eps = geom.Eps
-	out := make([]Exchange, 0, (n-firstNew)*8)
-	for i := 0; i < n-1; i++ {
-		it := ds.Item(i)
-		xi, yi := it[0], it[1]
-		lo := firstNew
-		if i+1 > lo {
-			lo = i + 1
-		}
-		for j := lo; j < n; j++ {
-			jt := ds.Item(j)
-			dx, dy := xi-jt[0], yi-jt[1]
-			if dx >= -eps && dy >= -eps && (dx > eps || dy > eps) {
-				continue // i dominates j
+// remapMerge is repair's one pass over the retained list: it re-tags the
+// survivors of kept through remap, drops every exchange touching a removed
+// item, and merges the sorted fresh exchanges in, writing one list of
+// exactly the resulting length in cmpExchange order. The remap is monotone,
+// so the survivors stay in cmpExchange order (theta unchanged, relative
+// index order within equal thetas unchanged); every fresh pair touches an
+// added item, so no fresh exchange ties a survivor.
+func remapMerge(kept []Exchange, remap []int, removed bool, fresh []Exchange) []Exchange {
+	survivors := len(kept)
+	if removed {
+		survivors = 0
+		for _, e := range kept {
+			if remap[e.I] >= 0 && remap[e.J] >= 0 {
+				survivors++
 			}
-			if dx <= eps && dy <= eps && (dx < -eps || dy < -eps) {
-				continue // j dominates i
-			}
-			if math.Abs(dy) < eps {
-				continue // equal items (dominance already filtered Δy=0, Δx≠0)
-			}
-			r := -dx / dy
-			if r <= eps {
-				continue // exchange outside (0, π/2): same order everywhere
-			}
-			out = append(out, Exchange{Theta: math.Atan(r), I: i, J: j})
 		}
 	}
+	out := make([]Exchange, survivors+len(fresh))
+	k, f := 0, 0
+	for _, e := range kept {
+		i, j := remap[e.I], remap[e.J]
+		if i < 0 || j < 0 {
+			continue
+		}
+		s := Exchange{Theta: e.Theta, I: int32(i), J: int32(j)}
+		for f < len(fresh) && cmpExchange(fresh[f], s) < 0 {
+			out[k] = fresh[f]
+			k, f = k+1, f+1
+		}
+		out[k] = s
+		k++
+	}
+	copy(out[k:], fresh[f:])
 	return out
 }
 

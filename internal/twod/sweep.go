@@ -23,10 +23,13 @@ import (
 
 // Exchange is the ordering exchange of items I and J: the angle of the
 // unique ranking function scoring both equally (Eq. 2 of the paper, via the
-// equivalent direct form tan θ = −Δx/Δy).
+// equivalent direct form tan θ = −Δx/Δy). The item indexes are int32 so an
+// exchange packs into 16 bytes: an index keeps its whole Θ(n²) exchange
+// list for repair, and a dataset whose list fits in memory at all has far
+// fewer than 2³¹ items.
 type Exchange struct {
 	Theta float64
-	I, J  int
+	I, J  int32
 }
 
 // ExchangeAngles computes the ordering exchanges of every pair of items that
@@ -35,7 +38,7 @@ type Exchange struct {
 // contributes an exchange. The result is sorted by angle (ties by item pair,
 // making the output a deterministic total order).
 func ExchangeAngles(ds *dataset.Dataset) ([]Exchange, error) {
-	return exchangeAngles(ds, 1)
+	return exchangeAngles(ds, runtime.GOMAXPROCS(0))
 }
 
 // cmpExchange is the strict total order on exchanges: angle, then item pair.
@@ -46,131 +49,180 @@ func cmpExchange(a, b Exchange) int {
 	case a.Theta > b.Theta:
 		return 1
 	case a.I != b.I:
-		return a.I - b.I
+		return int(a.I) - int(b.I)
 	default:
-		return a.J - b.J
+		return int(a.J) - int(b.J)
 	}
 }
 
-// exchangeAngles is ExchangeAngles with the O(n²) pair enumeration and the
-// sort spread over the given number of workers: rows of the pair triangle
-// are split into chunks of roughly equal pair counts, each chunk is built
-// and sorted concurrently, and the sorted chunks are merged pairwise. The
-// comparator is a total order, so the result is identical for every worker
-// count.
-func exchangeAngles(ds *dataset.Dataset, workers int) ([]Exchange, error) {
-	if ds.D() != 2 {
-		return nil, fmt.Errorf("twod: dataset has %d scoring attributes, want 2", ds.D())
+// pairTan is the exchange filter and angle arithmetic for the pair delta
+// (dx, dy) = t_i − t_j: it returns tan θ of the pair's exchange, and false
+// when the pair has none inside (0, π/2). The dominance tests are
+// geom.Dominates inlined for d = 2. Builds and repairs both enumerate
+// through it, so one pair always gets a bit-identical angle.
+func pairTan(dx, dy float64) (float64, bool) {
+	const eps = geom.Eps
+	if dx >= -eps && dy >= -eps && (dx > eps || dy > eps) {
+		return 0, false // i dominates j
 	}
+	if dx <= eps && dy <= eps && (dx < -eps || dy < -eps) {
+		return 0, false // j dominates i
+	}
+	if math.Abs(dy) < eps {
+		return 0, false // equal items (dominance already filtered Δy=0, Δx≠0)
+	}
+	r := -dx / dy
+	return r, r > eps // r ≤ eps: exchange outside (0, π/2), same order everywhere
+}
+
+// coords returns the dataset's two scoring columns as flat arrays, which
+// keep the O(n²) pair loops free of slice-header indirection.
+func coords(ds *dataset.Dataset) (xs, ys []float64) {
 	n := ds.N()
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Flat coordinate arrays keep the O(n²) inner loop free of slice-header
-	// indirection; the dominance test is geom.Dominates inlined for d = 2 on
-	// the pair deltas.
-	xs := make([]float64, n)
-	ys := make([]float64, n)
+	c := make([]float64, 2*n)
+	xs, ys = c[:n:n], c[n:]
 	for i := 0; i < n; i++ {
 		it := ds.Item(i)
 		xs[i], ys[i] = it[0], it[1]
 	}
-	const eps = geom.Eps
-	buildRows := func(rowLo, rowHi int) []Exchange {
-		pairs := 0
-		for i := rowLo; i < rowHi; i++ {
-			pairs += n - 1 - i
-		}
-		out := make([]Exchange, 0, pairs/3+16)
-		for i := rowLo; i < rowHi; i++ {
-			xi, yi := xs[i], ys[i]
-			for j := i + 1; j < n; j++ {
-				dx, dy := xi-xs[j], yi-ys[j]
-				if dx >= -eps && dy >= -eps && (dx > eps || dy > eps) {
-					continue // i dominates j
-				}
-				if dx <= eps && dy <= eps && (dx < -eps || dy < -eps) {
-					continue // j dominates i
-				}
-				if math.Abs(dy) < eps {
-					continue // equal items (dominance already filtered Δy=0, Δx≠0)
-				}
-				r := -dx / dy
-				if r <= eps {
-					continue // exchange outside (0, π/2): same order everywhere
-				}
-				out = append(out, Exchange{Theta: math.Atan(r), I: i, J: j})
-			}
-		}
-		return out
-	}
-	if workers == 1 {
-		out := buildRows(0, n)
-		sortExchanges(out)
-		return out, nil
-	}
-	// Row i contributes n−1−i pairs; hand each worker a contiguous row range
-	// holding ~1/workers of the n(n−1)/2 total.
-	chunks := make([][]Exchange, workers)
-	var wg sync.WaitGroup
-	rowLo := 0
-	totalPairs := n * (n - 1) / 2
-	for w := 0; w < workers; w++ {
-		rowHi := rowLo
-		if w == workers-1 {
-			rowHi = n
-		} else {
-			target := totalPairs / workers
-			for pairs := 0; rowHi < n && pairs < target; rowHi++ {
-				pairs += n - 1 - rowHi
-			}
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			c := buildRows(lo, hi)
-			sortExchanges(c)
-			chunks[w] = c
-		}(w, rowLo, rowHi)
-		rowLo = rowHi
-	}
-	wg.Wait()
-	// Pairwise merge tree: log(workers) rounds, merges within a round run
-	// concurrently.
-	for len(chunks) > 1 {
-		merged := make([][]Exchange, (len(chunks)+1)/2)
-		var mg sync.WaitGroup
-		for m := 0; m < len(chunks)/2; m++ {
-			mg.Add(1)
-			go func(m int) {
-				defer mg.Done()
-				merged[m] = mergeExchanges(chunks[2*m], chunks[2*m+1])
-			}(m)
-		}
-		if len(chunks)%2 == 1 {
-			merged[len(merged)-1] = chunks[len(chunks)-1]
-		}
-		mg.Wait()
-		chunks = merged
-	}
-	return chunks[0], nil
+	return xs, ys
 }
 
-// sortExchanges sorts into cmpExchange order. Large inputs use a stable LSD
-// radix sort on the theta float bits (all thetas are positive, so their IEEE
-// bit patterns order like the values): stability preserves the row-major
-// enumeration order of buildRows within equal thetas, which is exactly the
-// (I, J) tie-break — and the radix passes beat the comparison sort's
-// Θ(E log E) comparator calls on the sweep's hottest input sizes.
-func sortExchanges(ex []Exchange) {
+// pairs is the pair set {(i, j) : rowLo ≤ i < rowHi, max(i+1, colLo) ≤ j < n}:
+// one row range of a build (colLo 0) or, in a repair, every pair touching an
+// item appended at colLo or later. count and fill apply the same filter, so
+// fill's output is sized exactly before any angle is computed.
+type pairs struct {
+	xs, ys              []float64
+	rowLo, rowHi, colLo int
+}
+
+// count returns how many of the pairs have an exchange, without the atan.
+func (p pairs) count() int {
+	xs, ys := p.xs, p.ys
+	kept := 0
+	for i := p.rowLo; i < p.rowHi; i++ {
+		xi, yi := xs[i], ys[i]
+		for j := max(i+1, p.colLo); j < len(xs); j++ {
+			if _, ok := pairTan(xi-xs[j], yi-ys[j]); ok {
+				kept++
+			}
+		}
+	}
+	return kept
+}
+
+// fill writes the pairs' exchanges into out, which holds exactly count() of
+// them, in row-major (I, J) order.
+func (p pairs) fill(out []Exchange) {
+	xs, ys := p.xs, p.ys
+	k := 0
+	for i := p.rowLo; i < p.rowHi; i++ {
+		xi, yi := xs[i], ys[i]
+		for j := max(i+1, p.colLo); j < len(xs); j++ {
+			if r, ok := pairTan(xi-xs[j], yi-ys[j]); ok {
+				out[k] = Exchange{Theta: math.Atan(r), I: int32(i), J: int32(j)}
+				k++
+			}
+		}
+	}
+}
+
+// exchangeAngles is ExchangeAngles with the O(n²) pair enumeration and the
+// sort split into the given number of chunks: contiguous row ranges of
+// roughly equal pair counts, each counted, then filled and sorted in its own
+// slot of one exact-size buffer, concurrently; the sorted chunks then merge
+// pairwise, alternating between that buffer and a second one that also
+// serves as the radix sort's scratch. The comparator is a total order, so
+// the result is identical for every chunk count. It has len == cap.
+func exchangeAngles(ds *dataset.Dataset, chunks int) ([]Exchange, error) {
+	if ds.D() != 2 {
+		return nil, fmt.Errorf("twod: dataset has %d scoring attributes, want 2", ds.D())
+	}
+	n := ds.N()
+	chunks = max(1, min(chunks, n))
+	xs, ys := coords(ds)
+	// Row i contributes n−1−i pairs; give each chunk ~1/chunks of the
+	// n(n−1)/2 total.
+	parts := make([]pairs, chunks)
+	rowLo, target := 0, n*(n-1)/2/chunks
+	for c := range parts {
+		rowHi := n
+		if c < chunks-1 {
+			rowHi = rowLo
+			for p := 0; rowHi < n && p < target; rowHi++ {
+				p += n - 1 - rowHi
+			}
+		}
+		parts[c] = pairs{xs: xs, ys: ys, rowLo: rowLo, rowHi: rowHi}
+		rowLo = rowHi
+	}
+	// bounds[c] is where chunk c starts in the buffers; bounds[chunks] is the
+	// total.
+	bounds := make([]int, chunks+1)
+	parallel(chunks, func(c int) { bounds[c+1] = parts[c].count() })
+	for c := 1; c <= chunks; c++ {
+		bounds[c] += bounds[c-1]
+	}
+	src, dst := make([]Exchange, bounds[chunks]), make([]Exchange, bounds[chunks])
+	parallel(chunks, func(c int) {
+		lo, hi := bounds[c], bounds[c+1]
+		parts[c].fill(src[lo:hi])
+		sortExchanges(src[lo:hi], dst[lo:hi])
+	})
+	// Pairwise merge tree: each round merges neighbouring runs of src into
+	// the same span of dst (an odd last run is copied across) and swaps the
+	// buffers; merges within a round run concurrently.
+	for runs := chunks; runs > 1; runs = (runs + 1) / 2 {
+		parallel((runs+1)/2, func(m int) {
+			lo, mid := bounds[2*m], bounds[2*m+1]
+			if 2*m+1 == runs {
+				copy(dst[lo:mid], src[lo:mid])
+				return
+			}
+			hi := bounds[2*m+2]
+			mergeExchanges(dst[lo:hi], src[lo:mid], src[mid:hi])
+		})
+		for m := 0; 2*m < runs; m++ {
+			bounds[m] = bounds[2*m]
+		}
+		bounds[(runs+1)/2] = bounds[runs]
+		src, dst = dst, src
+	}
+	return src, nil
+}
+
+// parallel runs f(0), …, f(k−1) concurrently, the last on the calling
+// goroutine, and returns once all have finished.
+func parallel(k int, f func(int)) {
+	var wg sync.WaitGroup
+	wg.Add(k - 1)
+	for c := 0; c < k-1; c++ {
+		go func() {
+			defer wg.Done()
+			f(c)
+		}()
+	}
+	f(k - 1)
+	wg.Wait()
+}
+
+// sortExchanges sorts ex into cmpExchange order; ex must list equal thetas
+// in ascending (I, J) order, as row-major enumeration does. Large inputs use
+// a stable LSD radix sort on the theta float bits through scratch (nil, or
+// shorter than ex, allocates it): all thetas are positive, so their IEEE bit
+// patterns order like the values, and stability preserves the (I, J)
+// tie-break. The radix passes beat the comparison sort's Θ(E log E)
+// comparator calls on the sweep's hottest input sizes.
+func sortExchanges(ex, scratch []Exchange) {
 	if len(ex) < 1<<14 {
 		slices.SortFunc(ex, cmpExchange)
 		return
 	}
-	src, dst := ex, make([]Exchange, len(ex))
+	if len(scratch) < len(ex) {
+		scratch = make([]Exchange, len(ex))
+	}
+	src, dst := ex, scratch[:len(ex)]
 	var counts [1 << 16]int32
 	for shift := 0; shift < 64; shift += 16 {
 		for i := range counts {
@@ -195,21 +247,22 @@ func sortExchanges(ex []Exchange) {
 	// 64/16 = 4 passes: the sorted data landed back in ex.
 }
 
-// mergeExchanges merges two cmpExchange-sorted slices.
-func mergeExchanges(a, b []Exchange) []Exchange {
-	out := make([]Exchange, 0, len(a)+len(b))
-	i, j := 0, 0
+// mergeExchanges merges the cmpExchange-sorted a and b into dst, which has
+// room for exactly len(a)+len(b) exchanges.
+func mergeExchanges(dst, a, b []Exchange) {
+	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		if cmpExchange(a[i], b[j]) <= 0 {
-			out = append(out, a[i])
+			dst[k] = a[i]
 			i++
 		} else {
-			out = append(out, b[j])
+			dst[k] = b[j]
 			j++
 		}
+		k++
 	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
 }
 
 // Interval is a satisfactory angular range [Start, End] ⊆ [0, π/2]: every
@@ -261,11 +314,14 @@ type Options struct {
 	// oracles that inspect only the top-PruneTopK prefix and unsound for
 	// oracles that look deeper.
 	PruneTopK int
-	// Workers splits [0, π/2] into that many contiguous sector segments
-	// swept concurrently, each seeded with one full sort at its segment
-	// start; satisfactory intervals are merged exactly at segment
-	// boundaries, so the result is identical to the serial sweep for any
-	// worker count. The only caveat is eps-degenerate data: a pair whose
+	// Workers sets only the sector sweep; the pair enumeration and sort
+	// always use every CPU (GOMAXPROCS), because their output is identical
+	// however the rows are split. Workers splits [0, π/2] into that many
+	// contiguous sector segments swept concurrently, each seeded with one
+	// full sort at its segment start; satisfactory intervals are merged
+	// exactly at segment boundaries, so the result is identical to the
+	// serial sweep for any worker count. The only caveat is eps-degenerate
+	// data, the one case where a segmented sweep can differ: a pair whose
 	// exchange was filtered at the geom.Eps tolerance (near-duplicate
 	// items, near-zero exchange angle) keeps its serial order everywhere,
 	// while a segment seed re-sorts it by exact score — observable only
@@ -278,49 +334,31 @@ type Options struct {
 	FullCheck bool
 }
 
-// resolveWorkers maps the Workers option to an effective worker count,
-// clamped to the number of sectors so every segment is non-empty.
-func resolveWorkers(workers, sectors int) int {
+// resolveWorkers maps the Workers option to an effective worker count.
+func resolveWorkers(workers int) int {
 	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
+		return runtime.GOMAXPROCS(0)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > sectors {
-		workers = sectors
-	}
-	return workers
-}
-
-// eventGroup is one distinct exchange angle: the half-open exchange index
-// range [lo, hi) shares (numerically) the angle theta. Groups with hi−lo > 1
-// are concurrent exchanges — three or more items meeting at one angle make
-// the pairwise swap order ambiguous, so the sector past them is re-sorted
-// from scratch.
-type eventGroup struct {
-	theta  float64
-	lo, hi int
+	return max(1, workers)
 }
 
 // tieTol groups exchanges at numerically identical angles; they must be
-// applied together before the next sector is examined.
+// applied together before the next sector is examined. An event is the run
+// of exchanges within tieTol of the run's first angle, and that first angle
+// is the event's angle: the boundary between the sectors on either side.
+// Runs longer than one are concurrent exchanges — three or more items
+// meeting at one angle make the pairwise swap order ambiguous, so the items
+// of the run are re-sorted exactly instead.
 const tieTol = 1e-12
 
-// groupEvents buckets the sorted exchanges into distinct-angle groups.
-func groupEvents(exchanges []Exchange) []eventGroup {
-	var events []eventGroup
-	i := 0
-	for i < len(exchanges) {
-		theta := exchanges[i].Theta
-		j := i
-		for j < len(exchanges) && exchanges[j].Theta-theta <= tieTol {
-			j++
-		}
-		events = append(events, eventGroup{theta: theta, lo: i, hi: j})
-		i = j
+// runEnd returns the end of the event run that starts at exchanges[lo].
+func runEnd(exchanges []Exchange, lo int) int {
+	theta := exchanges[lo].Theta
+	hi := lo + 1
+	for hi < len(exchanges) && exchanges[hi].Theta-theta <= tieTol {
+		hi++
 	}
-	return events
+	return hi
 }
 
 // RaySweep is Algorithm 1 (2DRAYSWEEP): it sweeps a ray from the x-axis
@@ -331,16 +369,12 @@ func groupEvents(exchanges []Exchange) []eventGroup {
 // Each sector is one logical oracle call, but the call is O(1) amortized
 // when the oracle supports fairness.Incremental (TopK and its combinators):
 // consecutive sectors differ by a single swap, so the verdict state is
-// updated instead of recomputed. Options.Workers additionally sweeps
-// disjoint sector segments concurrently; the output is identical for every
-// worker count up to the eps-degeneracy caveat on Options.Workers.
-// segmentsPerWorker is the parallel sweep's oversplit factor: each worker's
-// sector share is cut into this many queue segments so dense segments are
-// stolen by idle workers. Each extra segment costs one extra full-sort seed.
-const segmentsPerWorker = 4
-
+// updated instead of recomputed. The pair enumeration and sort always use
+// every CPU, with identical output; Options.Workers additionally sweeps
+// disjoint sector segments concurrently, and the output is identical for
+// every worker count up to the eps-degeneracy caveat on Options.Workers.
 func RaySweep(ds *dataset.Dataset, oracle fairness.Oracle, opt Options) (*Index, error) {
-	exchanges, err := exchangeAngles(ds, resolveWorkers(opt.Workers, ds.N()))
+	exchanges, err := exchangeAngles(ds, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, err
 	}
@@ -370,23 +404,39 @@ func RaySweep(ds *dataset.Dataset, oracle fairness.Oracle, opt Options) (*Index,
 	return idx, nil
 }
 
+// segmentsPerWorker is the parallel sweep's oversplit factor: each worker's
+// sector share is cut into this many queue segments so dense segments are
+// stolen by idle workers. Each extra segment costs one extra full-sort seed.
+const segmentsPerWorker = 4
+
+// segment is a contiguous run of sectors. Its first sector starts at angle
+// start and ends at the event whose run begins at exchanges[pos]; its last
+// sector ends at the event beginning at exchanges[last], or at π/2 when
+// last == len(exchanges). The segment holding sector 0 has pos == 0.
+type segment struct {
+	start     float64
+	pos, last int
+}
+
 // sweepIndex is the sweep stage of RaySweep: it takes an already-sorted
 // exchange list (cmpExchange order) and runs the sector sweep over it,
 // serial or segmented. Split out so Repair can re-enter the pipeline with a
 // merged exchange list instead of a freshly enumerated one.
 func sweepIndex(ds *dataset.Dataset, oracle fairness.Oracle, exchanges []Exchange, opt Options) (*Index, error) {
 	counter := &fairness.Counter{O: oracle}
-	events := groupEvents(exchanges)
-	sectors := len(events) + 1
-	idx := &Index{ExchangeCount: len(exchanges), Sectors: sectors}
-
-	workers := resolveWorkers(opt.Workers, sectors)
-	if workers == 1 {
-		intervals, err := sweepSegment(ds, counter, exchanges, events, 0, sectors, opt)
+	idx := &Index{ExchangeCount: len(exchanges)}
+	var segs []segment
+	workers := resolveWorkers(opt.Workers)
+	if workers > 1 {
+		segs, idx.Sectors = segmentSectors(exchanges, workers)
+		workers = min(workers, idx.Sectors)
+	}
+	if len(segs) <= 1 {
+		intervals, sectors, err := sweepSegment(ds, counter, exchanges, segment{last: len(exchanges)}, opt)
 		if err != nil {
 			return nil, err
 		}
-		idx.intervals = intervals
+		idx.intervals, idx.Sectors = intervals, sectors
 		idx.OracleCalls = counter.Calls()
 		return idx, nil
 	}
@@ -401,12 +451,8 @@ func sweepIndex(ds *dataset.Dataset, oracle fairness.Oracle, exchanges []Exchang
 	// worker keeps the seed overhead a few percent while capping the
 	// straggler at ~a quarter of a worker's share. Results are unchanged:
 	// segments are still contiguous sector ranges merged in order.
-	numSegs := workers * segmentsPerWorker
-	if numSegs > sectors {
-		numSegs = sectors
-	}
-	parts := make([][]Interval, numSegs)
-	errs := make([]error, numSegs)
+	parts := make([][]Interval, len(segs))
+	errs := make([]error, len(segs))
 	var nextSeg atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -414,13 +460,11 @@ func sweepIndex(ds *dataset.Dataset, oracle fairness.Oracle, exchanges []Exchang
 		go func() {
 			defer wg.Done()
 			for {
-				seg := int(nextSeg.Add(1)) - 1
-				if seg >= numSegs {
+				k := int(nextSeg.Add(1)) - 1
+				if k >= len(segs) {
 					return
 				}
-				secLo := seg * sectors / numSegs
-				secHi := (seg + 1) * sectors / numSegs
-				parts[seg], errs[seg] = sweepSegment(ds, counter, exchanges, events, secLo, secHi, opt)
+				parts[k], _, errs[k] = sweepSegment(ds, counter, exchanges, segs[k], opt)
 			}
 		}()
 	}
@@ -434,8 +478,8 @@ func sweepIndex(ds *dataset.Dataset, oracle fairness.Oracle, exchanges []Exchang
 	for _, part := range parts {
 		for _, iv := range part {
 			// A satisfactory run crossing a segment boundary arrives as two
-			// intervals sharing the boundary angle exactly (both take it
-			// from the same eventGroup); merge them.
+			// intervals sharing the boundary angle exactly (both read it
+			// from the same event's first exchange); merge them.
 			if k := len(intervals) - 1; k >= 0 && intervals[k].End == iv.Start {
 				intervals[k].End = iv.End
 				continue
@@ -448,30 +492,54 @@ func sweepIndex(ds *dataset.Dataset, oracle fairness.Oracle, exchanges []Exchang
 	return idx, nil
 }
 
-// sweepSegment sweeps the contiguous sector range [secLo, secHi). Sector s
-// spans (events[s−1].theta, events[s].theta), with θ = 0 before the first
-// event and θ = π/2 after the last. The first sector's ordering is seeded by
-// a full sort (or, for sector 0, the exact limit ordering at θ → 0+); every
-// following sector is reached by applying its event's swaps to the mutable
-// order and to the oracle's incremental state.
-func sweepSegment(ds *dataset.Dataset, counter *fairness.Counter, exchanges []Exchange, events []eventGroup, secLo, secHi int, opt Options) ([]Interval, error) {
-	startAngle := func(s int) float64 {
-		if s == 0 {
-			return 0
-		}
-		return events[s-1].theta
+// segmentSectors cuts the sectors of the sorted exchange list into
+// min(workers·segmentsPerWorker, sectors) segments of near-equal sector
+// counts — segment k holds sectors [k·S/m, (k+1)·S/m) — and returns them
+// with the sector count S. It walks the event runs twice, once to count
+// them and once to find each segment's first exchange and start angle.
+func segmentSectors(exchanges []Exchange, workers int) ([]segment, int) {
+	sectors := 1
+	for pos := 0; pos < len(exchanges); pos = runEnd(exchanges, pos) {
+		sectors++
 	}
-	endAngle := func(s int) float64 {
-		if s == len(events) {
+	m := min(workers*segmentsPerWorker, sectors)
+	segs := make([]segment, m)
+	k, prev := 1, -1 // next segment to open; start of the previous run
+	for pos, ev := 0, 0; k < m; ev++ {
+		// pos starts event ev, which ends sector ev. Every segment opens at
+		// a sector ≤ the last event, so the walk stops before running off
+		// the list.
+		if ev == k*sectors/m {
+			segs[k-1].last = prev
+			segs[k] = segment{start: exchanges[prev].Theta, pos: pos}
+			if k++; k == m {
+				break
+			}
+		}
+		prev, pos = pos, runEnd(exchanges, pos)
+	}
+	segs[m-1].last = len(exchanges)
+	return segs, sectors
+}
+
+// sweepSegment sweeps one segment and returns its satisfactory intervals and
+// its sector count. The first sector's ordering is seeded by a full sort (or,
+// for sector 0, the exact limit ordering at θ → 0+); every following sector
+// is reached by applying the previous event's swaps to the mutable order and
+// to the oracle's incremental state. The incremental path adds its probes to
+// counter once, at the end: one atomic add per segment, not per sector.
+func sweepSegment(ds *dataset.Dataset, counter *fairness.Counter, exchanges []Exchange, seg segment, opt Options) ([]Interval, int, error) {
+	endAngle := func(pos int) float64 {
+		if pos == len(exchanges) {
 			return math.Pi / 2
 		}
-		return events[s].theta
+		return exchanges[pos].Theta
 	}
 
 	var bufs ranking.Buffers
 	var mo *ranking.MutableOrder
 	if !opt.Validate {
-		if secLo == 0 {
+		if seg.pos == 0 {
 			// Initial ordering at θ → 0+: x descending, ties by y
 			// descending (the limit ordering just off the axis), then index
 			// for determinism.
@@ -496,10 +564,10 @@ func sweepSegment(ds *dataset.Dataset, counter *fairness.Counter, exchanges []Ex
 			})
 			mo = ranking.NewMutableOrder(init)
 		} else {
-			mid := (startAngle(secLo) + endAngle(secLo)) / 2
+			mid := (seg.start + endAngle(seg.pos)) / 2
 			order, err := bufs.Order(ds, geom.Vector{math.Cos(mid), math.Sin(mid)})
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			mo = ranking.NewMutableOrder(order)
 		}
@@ -507,7 +575,7 @@ func sweepSegment(ds *dataset.Dataset, counter *fairness.Counter, exchanges []Ex
 
 	var inc fairness.Incremental
 	if !opt.Validate && !opt.FullCheck {
-		inc = fairness.NewIncremental(counter)
+		inc = fairness.NewIncremental(counter.O)
 		inc.Begin(mo.Order())
 	}
 
@@ -515,14 +583,17 @@ func sweepSegment(ds *dataset.Dataset, counter *fairness.Counter, exchanges []Ex
 	var intervals []Interval
 	var curStart float64
 	inSat := false
-	for s := secLo; s < secHi; s++ {
+	sectors := 0
+	for start, pos := seg.start, seg.pos; ; {
+		end := endAngle(pos)
+		sectors++
 		var sat bool
 		switch {
 		case opt.Validate:
-			mid := (startAngle(s) + endAngle(s)) / 2
+			mid := (start + end) / 2
 			order, err := bufs.Order(ds, geom.Vector{math.Cos(mid), math.Sin(mid)})
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			sat = counter.Check(order)
 		case opt.FullCheck:
@@ -533,33 +604,39 @@ func sweepSegment(ds *dataset.Dataset, counter *fairness.Counter, exchanges []Ex
 		if sat {
 			if !inSat {
 				inSat = true
-				curStart = startAngle(s)
+				curStart = start
 			}
 		} else if inSat {
 			inSat = false
-			intervals = append(intervals, Interval{Start: curStart, End: startAngle(s)})
+			intervals = append(intervals, Interval{Start: curStart, End: start})
 		}
-		if s+1 >= secHi || s >= len(events) || opt.Validate {
-			continue // last sector of the segment (or re-sorting anyway)
+		if pos == seg.last {
+			break // last sector of the segment
 		}
-		ev := events[s]
-		if ev.hi-ev.lo == 1 {
-			posA, posB := mo.Swap(exchanges[ev.lo].I, exchanges[ev.lo].J)
+		hi := runEnd(exchanges, pos)
+		switch {
+		case opt.Validate:
+			// Re-sorting every sector anyway.
+		case hi-pos == 1:
+			posA, posB := mo.Swap(int(exchanges[pos].I), int(exchanges[pos].J))
 			if inc != nil {
 				inc.Swap(posA, posB)
 			}
-			continue
+		default:
+			// Concurrent exchanges: resolve the meet exactly — only the
+			// items meeting at this angle move, re-sorting among the ranks
+			// they already occupy by their score just past the boundary.
+			meet.apply(ds, mo, inc, exchanges[pos:hi], (end+endAngle(hi))/2)
 		}
-		// Concurrent exchanges: resolve the meet exactly — only the items
-		// meeting at this angle move, re-sorting among the ranks they
-		// already occupy by their score just past the boundary.
-		mid := (startAngle(s+1) + endAngle(s+1)) / 2
-		meet.apply(ds, mo, inc, exchanges[ev.lo:ev.hi], mid)
+		start, pos = end, hi
 	}
 	if inSat {
-		intervals = append(intervals, Interval{Start: curStart, End: endAngle(secHi - 1)})
+		intervals = append(intervals, Interval{Start: curStart, End: endAngle(seg.last)})
 	}
-	return intervals, nil
+	if inc != nil {
+		counter.Add(sectors)
+	}
+	return intervals, sectors, nil
 }
 
 // meetScratch holds reusable buffers for resolving concurrent-exchange
@@ -590,13 +667,11 @@ func (sc *meetScratch) apply(ds *dataset.Dataset, mo *ranking.MutableOrder, inc 
 	w := geom.Vector{math.Cos(mid), math.Sin(mid)}
 	sc.members = sc.members[:0]
 	for _, e := range group {
-		if !sc.seen[e.I] {
-			sc.seen[e.I] = true
-			sc.members = append(sc.members, meetMember{item: e.I, score: w.Dot(ds.Item(e.I))})
-		}
-		if !sc.seen[e.J] {
-			sc.seen[e.J] = true
-			sc.members = append(sc.members, meetMember{item: e.J, score: w.Dot(ds.Item(e.J))})
+		for _, it := range [2]int{int(e.I), int(e.J)} {
+			if !sc.seen[it] {
+				sc.seen[it] = true
+				sc.members = append(sc.members, meetMember{item: it, score: w.Dot(ds.Item(it))})
+			}
 		}
 	}
 	sc.ranks = sc.ranks[:0]

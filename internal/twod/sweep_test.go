@@ -83,8 +83,8 @@ func TestExchangeFlipsOrder(t *testing.T) {
 			const h = 1e-6
 			lo := geom.Vector{math.Cos(e.Theta - h), math.Sin(e.Theta - h)}
 			hi := geom.Vector{math.Cos(e.Theta + h), math.Sin(e.Theta + h)}
-			si := ds.Item(e.I)
-			sj := ds.Item(e.J)
+			si := ds.Item(int(e.I))
+			sj := ds.Item(int(e.J))
 			before := lo.Dot(si) - lo.Dot(sj)
 			after := hi.Dot(si) - hi.Dot(sj)
 			if before*after > 0 {
