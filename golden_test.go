@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash"
 	"math"
 	"math/rand"
@@ -24,7 +25,7 @@ const (
 	goldenExactD3Index   = "4833f7ab2c4cd1989663ecfcc57c4c42819ad75bff970dda703fe7eeb0e7c735"
 	goldenExactD4Suggest = "9f077cc4a955b853cb6d2db233b3e56a1d9b47fe2793355222bf86a08480fa3a"
 	goldenExactD4Index   = "f7337063a8bfd413587bd98a08fee6cb4a3aa4c27921d3d0330c91485af8f9fa"
-	goldenApproxD3Index  = "38d11ce77711284db4f49eb8fc5d156d163e1b4a3662cc9726f50bab59ee6aed"
+	goldenApproxD3Index  = "f3e6c6a3e70c44a8a71814ba7655bdda501d165ab3258be30d619f6918ace691"
 	goldenPatchD3Index   = "586b9601c78b4069e62217d96548b18ef46ee697a8044c3c4edf4ffe9ca06686"
 	goldenPatchD3Suggest = "46467eb936db150890d167848e4be52fdbde5febb7565c1d4e459104880a4eb0"
 )
@@ -160,6 +161,19 @@ func TestGoldenKernelDigests(t *testing.T) {
 		_, des := goldenDesigner(t, 100, 3, Config{Mode: ModeApprox, Cells: 500, MaxHyperplanes: 200, Seed: 7})
 		checkGolden(t, "approx d=3 index", digestIndex(t, des), goldenApproxD3Index)
 	})
+}
+
+// The approx index is a function of the dataset, the oracle and the Config
+// minus Workers: parallel MARKCELL deals cells to goroutines in a
+// scheduling-dependent order, and every build at every worker count must
+// still save the golden bytes.
+func TestApproxIndexSameOnAnyWorkerCount(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		for build := 0; build < 2; build++ {
+			_, des := goldenDesigner(t, 100, 3, Config{Mode: ModeApprox, Cells: 500, MaxHyperplanes: 200, Seed: 7, Workers: workers})
+			checkGolden(t, fmt.Sprintf("approx d=3 index (workers %d, build %d)", workers, build), digestIndex(t, des), goldenApproxD3Index)
+		}
+	}
 }
 
 // An unfair exact query solves one Frank–Wolfe program per satisfactory

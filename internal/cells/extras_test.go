@@ -42,12 +42,20 @@ func TestMarkCellsParallelMatchesSerial(t *testing.T) {
 	if made.Load() != 4 {
 		t.Fatalf("4 workers made %d checks, want 4", made.Load())
 	}
-	if s1.Marked != s2.Marked {
-		t.Fatalf("marked counts differ: serial %d vs parallel %d", s1.Marked, s2.Marked)
+	if s1 != s2 {
+		t.Fatalf("stats differ: serial %+v vs parallel %+v", s1, s2)
 	}
+	// Each cell's LP randomness depends on the cell alone, so the witnesses
+	// — not just the verdicts — match bit for bit.
 	for i := range g1.Cells {
-		if g1.Cells[i].Marked != g2.Cells[i].Marked {
-			t.Fatalf("cell %d marked status differs", i)
+		c1, c2 := g1.Cells[i], g2.Cells[i]
+		if c1.Marked != c2.Marked || len(c1.F) != len(c2.F) {
+			t.Fatalf("cell %d: serial marked=%v F=%v, parallel marked=%v F=%v", i, c1.Marked, c1.F, c2.Marked, c2.F)
+		}
+		for k := range c1.F {
+			if math.Float64bits(c1.F[k]) != math.Float64bits(c2.F[k]) {
+				t.Fatalf("cell %d: serial F=%v, parallel F=%v", i, c1.F, c2.F)
+			}
 		}
 	}
 }

@@ -41,8 +41,10 @@ func MarkCellsCapped(g *Grid, hps []geom.Hyperplane, check CheckFunc, rng *rand.
 
 // MarkCellsParallel runs MARKCELL over the cells with the given number of
 // worker goroutines (workers ≤ 0 uses GOMAXPROCS). Cells are independent,
-// so this parallelizes perfectly; each worker derives its own deterministic
-// rng from seed, keeping results reproducible for a fixed worker count.
+// so this parallelizes perfectly. A cell's LP randomness is seeded from
+// (seed, cell index) alone, so every cell draws the same numbers whichever
+// worker marks it and in whatever order: the result is identical for any
+// worker count.
 // Each worker calls newCheck once and probes only through the check it gets,
 // so a check may keep per-worker scratch; anything the checks share (the
 // oracle, a call counter) must be safe for concurrent use (the oracles in
@@ -55,8 +57,9 @@ func MarkCellsParallel(g *Grid, hps []geom.Hyperplane, newCheck func() CheckFunc
 	if workers == 1 {
 		var stats MarkStats
 		check := newCheck()
-		rng := rand.New(rand.NewSource(seed))
+		rng := rand.New(new(splitMix64))
 		for _, c := range g.Cells {
+			rng.Seed(cellSeed(seed, c.Index))
 			f, ok := markCell(c, hps, check, rng, &stats, maxRegions)
 			if ok {
 				c.F = f
@@ -72,14 +75,15 @@ func MarkCellsParallel(g *Grid, hps []geom.Hyperplane, newCheck func() CheckFunc
 		total MarkStats
 	)
 	jobs := make(chan *Cell, workers*4)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed + int64(w)*7919))
+			rng := rand.New(new(splitMix64))
 			check := newCheck()
 			var local MarkStats
 			for c := range jobs {
+				rng.Seed(cellSeed(seed, c.Index))
 				f, ok := markCell(c, hps, check, rng, &local, maxRegions)
 				if ok {
 					c.F = f
@@ -93,7 +97,7 @@ func MarkCellsParallel(g *Grid, hps []geom.Hyperplane, newCheck func() CheckFunc
 			total.Inserted += local.Inserted
 			total.Capped += local.Capped
 			mu.Unlock()
-		}(w)
+		}()
 	}
 	for _, c := range g.Cells {
 		jobs <- c
@@ -149,4 +153,29 @@ func markCell(c *Cell, hps []geom.Hyperplane, check CheckFunc, rng *rand.Rand, s
 		}
 	}
 	return nil, false
+}
+
+// splitMix64 is the rand.Source64 of MARKCELL's per-cell LP randomness:
+// reseeding it before each cell is O(1) and allocates nothing, unlike a
+// fresh rand.NewSource per cell.
+type splitMix64 uint64
+
+func (s *splitMix64) Seed(seed int64) { *s = splitMix64(seed) }
+
+func (s *splitMix64) Uint64() uint64 {
+	*s += 0x9e3779b97f4a7c15
+	z := uint64(*s)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+func (s *splitMix64) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+// cellSeed is the seed of one cell's LP randomness: output number index of
+// the splitmix64 stream started at seed, so neighbouring cells start their
+// streams at unrelated states.
+func cellSeed(seed int64, index int) int64 {
+	s := splitMix64(uint64(seed) + uint64(index)*0x9e3779b97f4a7c15)
+	return int64(s.Uint64())
 }

@@ -9,24 +9,21 @@ import (
 )
 
 // Incremental repair of the grid index. The grid's marking cannot be patched
-// cell by cell: the serial MARKCELL pass threads one seeded rng through every
-// cell in order, so re-probing a subset would desynchronize the stream and
-// break the replay guarantee. What a patch can skip is refitting the kept
+// cell by cell: a patch moves the hyperplanes, and with them every cell's
+// crossing list and verdicts. What a patch can skip is refitting the kept
 // hyperplanes: a hyperplane is a deterministic function of its two item
 // value vectors, so every kept pair untouched by the delta reuses its fit
 // bit for bit (arrangement.FitHyperplanes). The full pipeline then re-runs
-// (partition, assign, mark, color) with the rng replayed exactly, so with
-// serial marking (Workers ≤ 1) the repaired index matches a from-scratch
-// Preprocess byte for byte. With parallel marking, cell→worker assignment
-// is scheduling-dependent for rebuild and repair alike, so neither run is
-// reproducible — the repaired index is then simply one of the valid indexes
-// a rebuild could produce. Reuse pays only for uncapped indexes
-// (MaxHyperplanes 0): a capped build fits just the kept pairs, so a capped
-// repair costs about what a rebuild does.
+// (partition, assign, mark, color) with the rng replayed exactly, and
+// MARKCELL seeds each cell's LP randomness from (build seed, cell index),
+// so the repaired index matches a from-scratch Preprocess byte for byte on
+// any worker count. Reuse pays only for uncapped indexes (MaxHyperplanes
+// 0): a capped build fits just the kept pairs, so a capped repair costs
+// about what a rebuild does.
 
-// Repair returns a new index over the patched dataset equivalent to
-// Preprocess(ds, oracle, sameN, sameOptions) — byte-identical when the mark
-// phase is serial. The receiver keeps serving untouched.
+// Repair returns a new index over the patched dataset byte-identical to
+// Preprocess(ds, oracle, sameN, sameOptions). The receiver keeps serving
+// untouched.
 // engine.ErrRepairUnsupported when the index was loaded from a stream or
 // built with PruneTopK (no retained build state).
 func (a *Approx) Repair(ds *dataset.Dataset, oracle fairness.Oracle, delta engine.Delta) (*Approx, error) {
