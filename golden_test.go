@@ -164,7 +164,7 @@ func TestGoldenKernelDigests(t *testing.T) {
 }
 
 // The approx index is a function of the dataset, the oracle and the Config
-// minus Workers: parallel MARKCELL deals cells to goroutines in a
+// minus Workers: parallel MARKCELL deals strips of cells to goroutines in a
 // scheduling-dependent order, and every build at every worker count must
 // still save the golden bytes.
 func TestApproxIndexSameOnAnyWorkerCount(t *testing.T) {

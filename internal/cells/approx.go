@@ -37,7 +37,8 @@ type Options struct {
 	// (a capped cell falls back to CELLCOLORING) for bounded work.
 	MaxRegionsPerCell int
 	// Workers is the number of goroutines for the MARKCELL phase
-	// (cells are independent). 0 = serial; negative = GOMAXPROCS.
+	// (cells are independent). 0 = serial; negative = GOMAXPROCS. The
+	// index is identical for any worker count.
 	Workers int
 }
 
@@ -129,22 +130,10 @@ func preprocessWith(ds *dataset.Dataset, oracle fairness.Oracle, n int, opt Opti
 	a.AssignStats = grid.AssignHyperplanes(hps)
 	a.Times.Assign = time.Since(start)
 
-	var oracleCalls atomic.Int64
+	var oracleCalls, ranked atomic.Int64
 	need := fairness.Reads(oracle)
-	// Each MARKCELL worker gets its own check, owning the ranking buffers
-	// and the cartesian probe vector, so a probe allocates nothing.
-	newCheck := func() CheckFunc {
-		var bufs ranking.Buffers
-		w := make(geom.Vector, ds.D())
-		return func(theta geom.Angles) bool {
-			theta.ToCartesianInto(1, w)
-			order, err := bufs.Rank(ds, w, need)
-			if err != nil {
-				return false
-			}
-			oracleCalls.Add(1)
-			return oracle.Check(order)
-		}
+	newCheck := func() Checker {
+		return newProber(ds, oracle, need, &oracleCalls, &ranked)
 	}
 	start = time.Now()
 	workers := opt.Workers
@@ -152,6 +141,7 @@ func preprocessWith(ds *dataset.Dataset, oracle fairness.Oracle, n int, opt Opti
 		workers = 1
 	}
 	a.MarkStats = MarkCellsParallel(grid, hps, newCheck, rng.Int63(), opt.MaxRegionsPerCell, workers)
+	a.MarkStats.Ranked = int(ranked.Load())
 	a.Times.Mark = time.Since(start)
 
 	start = time.Now()
@@ -163,6 +153,92 @@ func preprocessWith(ds *dataset.Dataset, oracle fairness.Oracle, n int, opt Opti
 	a.buildOpts = opt
 	a.repairable = opt.PruneTopK == 0
 	return a, nil
+}
+
+// stripPad widens a strip's box, in radians, before its candidate list is
+// built, so witnesses an LP tolerance puts just outside a cell still rank
+// among the candidates.
+const stripPad = 1e-7
+
+// prober is one MARKCELL worker's Checker. It owns the ranking buffers and
+// the cartesian probe vector, so a probe allocates nothing. When the oracle
+// reads only a top-K prefix with 1 ≤ K < n, Strip builds the strip's
+// candidate list: geom.CartesianBounds turns the padded strip box into a
+// box of weight vectors, and ranking.Buffers.Restrict keeps the items that
+// can reach the top K anywhere in it. A probe inside the padded box then
+// ranks only those (RankKept), with the verdict a full ranking gives; any
+// other probe, or any probe of an oracle that may read the whole order,
+// ranks all n items.
+type prober struct {
+	ds     *dataset.Dataset
+	oracle fairness.Oracle
+	need   ranking.Need
+	// box is the padded strip box; restricted reports that cand holds its
+	// candidate list, of kept items.
+	box         geom.Box
+	restricted  bool
+	kept        int
+	w, wlo, whi geom.Vector
+	// cand holds the strip's candidate list; full ranks probes outside the
+	// box without discarding it.
+	cand, full    ranking.Buffers
+	calls, ranked *atomic.Int64
+}
+
+func newProber(ds *dataset.Dataset, oracle fairness.Oracle, need ranking.Need, calls, ranked *atomic.Int64) *prober {
+	d := ds.D()
+	return &prober{
+		ds: ds, oracle: oracle, need: need,
+		box: geom.Box{Lo: make(geom.Vector, d-1), Hi: make(geom.Vector, d-1)},
+		w:   make(geom.Vector, d), wlo: make(geom.Vector, d), whi: make(geom.Vector, d),
+		calls: calls, ranked: ranked,
+	}
+}
+
+// Strip implements Checker: it builds the candidate list of box, padded by
+// stripPad and clamped to [0, π/2], when the oracle reads a top K < n.
+func (p *prober) Strip(box geom.Box) {
+	if p.need.K < 1 || p.need.K >= p.ds.N() {
+		return
+	}
+	for k := range box.Lo {
+		p.box.Lo[k] = max(box.Lo[k]-stripPad, 0)
+		p.box.Hi[k] = min(box.Hi[k]+stripPad, math.Pi/2)
+	}
+	geom.CartesianBounds(geom.Angles(p.box.Lo), geom.Angles(p.box.Hi), p.wlo, p.whi)
+	kept, err := p.cand.Restrict(p.ds, p.wlo, p.whi, p.need.K)
+	p.restricted, p.kept = err == nil, kept
+}
+
+// Check implements Checker.
+func (p *prober) Check(theta geom.Angles) bool {
+	theta.ToCartesianInto(1, p.w)
+	var (
+		order []int
+		err   error
+	)
+	if p.restricted && inBox(p.box, theta) {
+		order, err = p.cand.RankKept(p.ds, p.w, p.need)
+		p.ranked.Add(int64(p.kept))
+	} else {
+		order, err = p.full.Rank(p.ds, p.w, p.need)
+		p.ranked.Add(int64(p.ds.N()))
+	}
+	if err != nil {
+		return false
+	}
+	p.calls.Add(1)
+	return p.oracle.Check(order)
+}
+
+// inBox reports whether theta lies in the closed box.
+func inBox(b geom.Box, theta geom.Angles) bool {
+	for k, t := range theta {
+		if !(b.Lo[k] <= t && t <= b.Hi[k]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Satisfiable reports whether any satisfactory function was found.

@@ -29,10 +29,10 @@ func TestMarkCellsParallelMatchesSerial(t *testing.T) {
 	g1.AssignHyperplanes(hps)
 	g2.AssignHyperplanes(hps)
 	// A deterministic oracle: satisfactory iff θ1 + θ2 < 1.1.
-	check := func(a geom.Angles) bool { return a[0]+a[1] < 1.1 }
+	check := CheckFunc(func(a geom.Angles) bool { return a[0]+a[1] < 1.1 })
 	// Every worker takes its own check from the factory, once.
 	var made atomic.Int64
-	newCheck := func() CheckFunc { made.Add(1); return check }
+	newCheck := func() Checker { made.Add(1); return check }
 	s1 := MarkCellsParallel(g1, hps, newCheck, 1, 0, 1)
 	if made.Load() != 1 {
 		t.Fatalf("serial marking made %d checks, want 1", made.Load())

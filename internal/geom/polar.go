@@ -62,6 +62,25 @@ func (a Angles) ToCartesianInto(r float64, dst Vector) Vector {
 	return dst
 }
 
+// CartesianBounds sets lo and hi, each of dimension Dim(), to the least and
+// greatest value every Cartesian coordinate of the unit ray takes over the
+// angle box [from, to] ⊆ [0, π/2]^(d−1). Each factor of
+// x_k = sin Θ_k · Π_{l>k} cos Θ_l is non-negative there and monotone in its
+// one angle, so x_k is least at the corner (from_k, to_{l>k}) and greatest
+// at (to_k, from_{l>k}). The arithmetic is ToCartesianInto's, so a point
+// box (from = to) gives that point's coordinates exactly.
+func CartesianBounds(from, to Angles, lo, hi Vector) {
+	d := from.Dim()
+	pmin, pmax := 1.0, 1.0
+	for k := d - 1; k >= 1; k-- {
+		lo[k] = math.Sin(from[k-1]) * pmin
+		hi[k] = math.Sin(to[k-1]) * pmax
+		pmin *= math.Cos(to[k-1])
+		pmax *= math.Cos(from[k-1])
+	}
+	lo[0], hi[0] = pmin, pmax
+}
+
 // ToPolar converts a weight vector in the non-negative orthant to its polar
 // representation (r, Θ). It returns an error for the zero vector or for
 // vectors with negative coordinates beyond tolerance, which do not correspond

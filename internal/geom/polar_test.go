@@ -154,3 +154,44 @@ func TestAngleDistanceMismatch(t *testing.T) {
 		t.Error("expected dimension mismatch error")
 	}
 }
+
+// CartesianBounds brackets every coordinate of every ray in the box, and a
+// point box gives that point's coordinates bit for bit.
+func TestCartesianBounds(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	for iter := 0; iter < 200; iter++ {
+		d := 2 + r.Intn(4)
+		from, to := make(Angles, d-1), make(Angles, d-1)
+		for k := range from {
+			a, b := r.Float64()*math.Pi/2, r.Float64()*math.Pi/2
+			if r.Intn(4) == 0 {
+				a = 0
+			}
+			if r.Intn(4) == 0 {
+				b = math.Pi / 2
+			}
+			from[k], to[k] = math.Min(a, b), math.Max(a, b)
+		}
+		lo, hi := NewVector(d), NewVector(d)
+		CartesianBounds(from, to, lo, hi)
+		for probe := 0; probe < 20; probe++ {
+			theta := make(Angles, d-1)
+			for k := range theta {
+				theta[k] = from[k] + r.Float64()*(to[k]-from[k])
+			}
+			x := theta.ToCartesian(1)
+			for k := range x {
+				if x[k] < lo[k]-1e-15 || x[k] > hi[k]+1e-15 {
+					t.Fatalf("box %v–%v, ray %v: x[%d]=%v outside [%v, %v]", from, to, theta, k, x[k], lo[k], hi[k])
+				}
+			}
+			CartesianBounds(theta, theta, lo, hi)
+			for k := range x {
+				if lo[k] != x[k] || hi[k] != x[k] {
+					t.Fatalf("point box %v: bounds %v–%v, want %v", theta, lo, hi, x)
+				}
+			}
+			CartesianBounds(from, to, lo, hi)
+		}
+	}
+}
