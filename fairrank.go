@@ -172,9 +172,11 @@ type Config struct {
 	// Workers parallelizes offline preprocessing: the MARKCELL phase of
 	// ModeApprox, the segmented ray sweep of Mode2D, and the region-labeling
 	// pass of ModeExact (0 = serial, negative = GOMAXPROCS). Results are
-	// identical for any worker count. In Mode2D it sets only the segmented
-	// sweep: the pair enumeration and sort before it always use every CPU,
-	// because their output is identical however the work is split.
+	// identical for any worker count: in ModeApprox every grid cell seeds
+	// its LP randomness from Seed and its own index, whichever worker
+	// marks it. In Mode2D it sets only the segmented sweep: the pair
+	// enumeration and sort before it always use every CPU, because their
+	// output is identical however the work is split.
 	Workers int
 	// RefineQueries makes ModeApprox Suggest calls also consider the
 	// functions of axis-adjacent cells (never worse, O(d log N) extra).
