@@ -109,6 +109,14 @@ func plannedWorkload(r *rand.Rand, d, size int, dupPool [][]float64) [][]float64
 			qs[size/2][j] = 0.5
 		}
 		qs[size/2+1] = qs[size/2] // duplicate error slot
+		// Non-finite weights: a chunk's restricted ranking leaves them out
+		// of its box.
+		qs[size/4] = append([]float64(nil), qs[size/4]...)
+		qs[size/4][0] = math.NaN()
+		qs[size/5] = append([]float64(nil), qs[size/5]...)
+		qs[size/5][d-1] = math.Inf(1)
+		qs[size-1] = append([]float64(nil), qs[size-1]...)
+		qs[size-1][0] = math.Inf(-1)
 	}
 	return qs
 }

@@ -242,6 +242,78 @@ func BenchmarkBatchExactSuggestBatchHotspot(b *testing.B) {
 }
 
 var (
+	approxMDOnce    sync.Once
+	approxMDFixture *batchFixture
+	approxMDBatches [][][]float64
+	approxMDErr     error
+)
+
+// approxMDFixtureFor is explore-md's approx designer (n=1000, d=3, 4000
+// cells, 200 hyperplanes, a top-20% oracle) plus a fixed corpus of 16
+// explore-md-shaped batches: 256 directions each, drawn within about 5% per
+// weight of a proposal, a quarter of them duplicates of others.
+func approxMDFixtureFor(b *testing.B) (*batchFixture, [][][]float64) {
+	b.Helper()
+	approxMDOnce.Do(func() {
+		ds, err := datagen.Biased(1000, 3, 0.5, 0.3, 1, 2019)
+		if err != nil {
+			approxMDErr = err
+			return
+		}
+		oracle, err := fairrank.MinShare(ds, "group", "protected", 0.2, 0.35)
+		if err != nil {
+			approxMDErr = err
+			return
+		}
+		designer, err := fairrank.NewDesigner(ds, oracle, fairrank.Config{Mode: fairrank.ModeApprox, Cells: 4000, MaxHyperplanes: 200, Workers: -1})
+		if err != nil {
+			approxMDErr = err
+			return
+		}
+		r := rand.New(rand.NewSource(31))
+		for len(approxMDBatches) < 16 {
+			proposal := []float64{0.01 + r.Float64(), 0.01 + r.Float64(), 0.01 + r.Float64()}
+			batch := make([][]float64, 256)
+			for i := range batch {
+				if i >= 192 {
+					batch[i] = batch[r.Intn(192)]
+					continue
+				}
+				batch[i] = make([]float64, 3)
+				for j, w := range proposal {
+					batch[i][j] = math.Max(0.01, w*(1+0.05*r.NormFloat64()))
+				}
+			}
+			r.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+			approxMDBatches = append(approxMDBatches, batch)
+		}
+		approxMDFixture = &batchFixture{d: designer}
+	})
+	if approxMDErr != nil {
+		b.Fatal(approxMDErr)
+	}
+	return approxMDFixture, approxMDBatches
+}
+
+// BenchmarkBatchApproxSuggestBatchMD answers the whole explore-md-shaped
+// corpus per iteration, reported per query slot.
+func BenchmarkBatchApproxSuggestBatchMD(b *testing.B) {
+	fx, batches := approxMDFixtureFor(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, batch := range batches {
+			for _, res := range fx.d.SuggestBatch(batch) {
+				if res.Err != nil {
+					b.Fatal(res.Err)
+				}
+			}
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batches)*256), "ns/query")
+}
+
+var (
 	exactMDOnce    sync.Once
 	exactMDFixture *batchFixture
 	exactMDErr     error

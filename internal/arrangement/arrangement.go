@@ -69,15 +69,28 @@ type Arrangement struct {
 // (the whole box). When useTree is true, insertions descend the arrangement
 // tree of Algorithm 5 instead of scanning all regions.
 func New(box geom.Box, useTree bool, rng *rand.Rand) *Arrangement {
-	whole := &Region{Witness: box.Center()}
-	a := &Arrangement{
-		Box:     box,
-		useTree: useTree,
-		rng:     rng,
-	}
-	a.regions = []*Region{whole}
-	a.root = &treeNode{region: whole}
+	a := new(Arrangement)
+	a.Reset(box, useTree, rng)
 	return a
+}
+
+// Reset empties the arrangement into the one New(box, useTree, rng) returns,
+// but keeps the LP workspace and the insertion scratch, so an owner that
+// builds many arrangements in turn (MARKCELL, one per cell) does not regrow
+// them. The workspace carries no state from one solve to the next, so every
+// region, side, witness and Stats count is the one a fresh arrangement gets.
+// Regions and constraints taken from the arrangement before the Reset must
+// not be used after it.
+func (a *Arrangement) Reset(box geom.Box, useTree bool, rng *rand.Rand) {
+	whole := &Region{Witness: box.Center()}
+	a.Box = box
+	a.Hyperplanes = a.Hyperplanes[:0]
+	a.Stats = Stats{}
+	a.regions = append(a.regions[:0], whole)
+	a.useTree = useTree
+	a.root = &treeNode{region: whole}
+	a.rng = rng
+	a.neg = a.neg[:0]
 }
 
 // Reconstruct rebuilds an arrangement from persisted state: the box, the

@@ -3,6 +3,7 @@ package arrangement
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -307,4 +308,62 @@ func max(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// A reset arrangement reproduces a fresh one bit for bit: for the same box,
+// inserts and seed, the same regions in the same order, with the same sides,
+// witnesses and versions, and the same Stats. One arrangement is reset
+// across boxes of different dimensions and both construction modes, so its
+// LP workspace and scratch carry sizes from unrelated builds.
+func TestResetMatchesFresh(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	reused := New(geom.FullAngleBox(3), true, rng())
+	splits := 0
+	for iter := 0; iter < 30; iter++ {
+		dim := 2 + r.Intn(2)
+		box := geom.Box{Lo: make(geom.Vector, dim), Hi: make(geom.Vector, dim)}
+		for k := range box.Lo {
+			box.Lo[k] = r.Float64() * math.Pi / 4
+			box.Hi[k] = box.Lo[k] + 0.1 + r.Float64()*math.Pi/4
+		}
+		var hps []geom.Hyperplane
+		for i := 0; i < 3+r.Intn(10); i++ {
+			coef := make(geom.Vector, dim)
+			for k := range coef {
+				coef[k] = r.Float64()*3 - 0.5
+			}
+			hps = append(hps, geom.Hyperplane{Coef: coef})
+		}
+		useTree := r.Intn(2) == 0
+		seed := r.Int63()
+		fresh := New(box, useTree, rand.New(rand.NewSource(seed)))
+		reused.Reset(box, useTree, rand.New(rand.NewSource(seed)))
+		for _, h := range hps {
+			fresh.Insert(h)
+			reused.Insert(h)
+		}
+		if fresh.Stats != reused.Stats {
+			t.Fatalf("iter %d: stats %+v after Reset, %+v fresh", iter, reused.Stats, fresh.Stats)
+		}
+		splits += fresh.Stats.Splits
+		if len(fresh.Hyperplanes) != len(reused.Hyperplanes) || fresh.NumRegions() != reused.NumRegions() {
+			t.Fatalf("iter %d: %d hyperplanes and %d regions after Reset, %d and %d fresh", iter,
+				len(reused.Hyperplanes), reused.NumRegions(), len(fresh.Hyperplanes), fresh.NumRegions())
+		}
+		for i, want := range fresh.Regions() {
+			got := reused.Regions()[i]
+			if got.Version != want.Version || !slices.Equal(got.Sides, want.Sides) {
+				t.Fatalf("iter %d region %d: version %d sides %v after Reset, %d %v fresh",
+					iter, i, got.Version, got.Sides, want.Version, want.Sides)
+			}
+			if !slices.EqualFunc(got.Witness, want.Witness, func(a, b float64) bool {
+				return math.Float64bits(a) == math.Float64bits(b)
+			}) {
+				t.Fatalf("iter %d region %d: witness %v after Reset, %v fresh", iter, i, got.Witness, want.Witness)
+			}
+		}
+	}
+	if splits == 0 {
+		t.Fatal("no insert split a region: the test compares nothing")
+	}
 }

@@ -160,28 +160,23 @@ func preprocessWith(ds *dataset.Dataset, oracle fairness.Oracle, n int, opt Opti
 // among the candidates.
 const stripPad = 1e-7
 
-// prober is one MARKCELL worker's Checker. It owns the ranking buffers and
-// the cartesian probe vector, so a probe allocates nothing. When the oracle
-// reads only a top-K prefix with 1 ≤ K < n, Strip builds the strip's
+// prober is one MARKCELL worker's Checker. It owns the restricted ranking
+// and the cartesian probe vector, so a probe allocates nothing. When the
+// oracle reads only a top-K prefix with 1 ≤ K < n, Strip builds the strip's
 // candidate list: geom.CartesianBounds turns the padded strip box into a
-// box of weight vectors, and ranking.Buffers.Restrict keeps the items that
-// can reach the top K anywhere in it. A probe inside the padded box then
-// ranks only those (RankKept), with the verdict a full ranking gives; any
+// box of weight vectors, and ranking.Restricted keeps the items that can
+// reach the top K anywhere in it. A probe whose weight vector lies in that
+// box then ranks only those, with the verdict a full ranking gives; any
 // other probe, or any probe of an oracle that may read the whole order,
 // ranks all n items.
 type prober struct {
 	ds     *dataset.Dataset
 	oracle fairness.Oracle
 	need   ranking.Need
-	// box is the padded strip box; restricted reports that cand holds its
-	// candidate list, of kept items.
-	box         geom.Box
-	restricted  bool
-	kept        int
-	w, wlo, whi geom.Vector
-	// cand holds the strip's candidate list; full ranks probes outside the
-	// box without discarding it.
-	cand, full    ranking.Buffers
+	// box is the padded strip box.
+	box           geom.Box
+	w, wlo, whi   geom.Vector
+	rank          ranking.Restricted
 	calls, ranked *atomic.Int64
 }
 
@@ -206,39 +201,20 @@ func (p *prober) Strip(box geom.Box) {
 		p.box.Hi[k] = min(box.Hi[k]+stripPad, math.Pi/2)
 	}
 	geom.CartesianBounds(geom.Angles(p.box.Lo), geom.Angles(p.box.Hi), p.wlo, p.whi)
-	kept, err := p.cand.Restrict(p.ds, p.wlo, p.whi, p.need.K)
-	p.restricted, p.kept = err == nil, kept
+	// Restrict fails only on a malformed box, and then leaves no list.
+	_, _ = p.rank.Restrict(p.ds, p.wlo, p.whi, p.need.K)
 }
 
 // Check implements Checker.
 func (p *prober) Check(theta geom.Angles) bool {
 	theta.ToCartesianInto(1, p.w)
-	var (
-		order []int
-		err   error
-	)
-	if p.restricted && inBox(p.box, theta) {
-		order, err = p.cand.RankKept(p.ds, p.w, p.need)
-		p.ranked.Add(int64(p.kept))
-	} else {
-		order, err = p.full.Rank(p.ds, p.w, p.need)
-		p.ranked.Add(int64(p.ds.N()))
-	}
+	order, ranked, err := p.rank.Rank(p.ds, p.w, p.need)
+	p.ranked.Add(int64(ranked))
 	if err != nil {
 		return false
 	}
 	p.calls.Add(1)
 	return p.oracle.Check(order)
-}
-
-// inBox reports whether theta lies in the closed box.
-func inBox(b geom.Box, theta geom.Angles) bool {
-	for k, t := range theta {
-		if !(b.Lo[k] <= t && t <= b.Hi[k]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Satisfiable reports whether any satisfactory function was found.

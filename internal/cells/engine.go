@@ -46,17 +46,20 @@ func (e approxEngine) Suggest(w geom.Vector) (geom.Vector, float64, error) {
 }
 
 // SuggestBatch is the grid-engine arena kernel: the fairness check ranks
-// through the worker's shared ranking buffers only as far as the oracle
-// reads (fairness.Reads), the polar conversion and
+// through the worker's scratch only as far as the oracle reads
+// (fairness.Reads), and only among the items that can reach the oracle's
+// top K in the chunk's box (Scratch.RestrictChunk); the polar conversion and
 // the Locate probes reuse the scratch angle buffers, angular distances go
 // through the scratch vectors, and every answer is carved from one per-chunk
 // arena — a constant number of allocations per chunk instead of three per
-// query. All arithmetic matches the scalar Query/QueryRefined paths step for
+// query. The restricted check gives the verdict a full ranking gives, and
+// all other arithmetic matches the scalar Query/QueryRefined paths step for
 // step, so answers are bit-identical.
 func (e approxEngine) SuggestBatch(dst []engine.Result, queries []geom.Vector, s *engine.Scratch) {
 	a := e.a
 	d := a.DS.D()
 	need := fairness.Reads(a.Oracle)
+	s.RestrictChunk(a.DS, queries, need)
 	arena := make([]float64, d*len(queries))
 	for i, q := range queries {
 		if len(q) != d {
@@ -109,6 +112,7 @@ func (e approxEngine) SuggestBatchSorted(dst []engine.Result, queries []geom.Vec
 	a := e.a
 	d := a.DS.D()
 	need := fairness.Reads(a.Oracle)
+	s.RestrictChunk(a.DS, queries, need)
 	cur, _ := s.Resume().(*cellsCursor)
 	if cur == nil || cur.a != a {
 		cur = &cellsCursor{a: a}

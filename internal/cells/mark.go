@@ -114,12 +114,12 @@ func MarkCellsParallel(g *Grid, hps []geom.Hyperplane, newCheck func() Checker, 
 		workers = runtime.GOMAXPROCS(0)
 	}
 	strips := g.strips()
-	markStrip := func(s strip, check Checker, rng *rand.Rand, stats *MarkStats) {
+	markStrip := func(s strip, check Checker, m *marker, stats *MarkStats) {
 		first, last := g.Cells[s.lo], g.Cells[s.hi-1]
 		check.Strip(geom.Box{Lo: first.Box.Lo, Hi: last.Box.Hi})
 		for _, c := range g.Cells[s.lo:s.hi] {
-			rng.Seed(cellSeed(seed, c.Index))
-			if f, ok := markCell(c, hps, check, rng, stats, maxRegions); ok {
+			m.rng.Seed(cellSeed(seed, c.Index))
+			if f, ok := m.markCell(c, hps, check, stats, maxRegions); ok {
 				c.F = f
 				c.Marked = true
 				stats.Marked++
@@ -129,9 +129,9 @@ func MarkCellsParallel(g *Grid, hps []geom.Hyperplane, newCheck func() Checker, 
 	if workers == 1 {
 		var stats MarkStats
 		check := newCheck()
-		rng := rand.New(new(splitMix64))
+		m := newMarker()
 		for _, s := range strips {
-			markStrip(s, check, rng, &stats)
+			markStrip(s, check, m, &stats)
 		}
 		return stats
 	}
@@ -146,10 +146,10 @@ func MarkCellsParallel(g *Grid, hps []geom.Hyperplane, newCheck func() Checker, 
 		go func() {
 			defer wg.Done()
 			check := newCheck()
-			rng := rand.New(new(splitMix64))
+			m := newMarker()
 			var local MarkStats
 			for i := int(next.Add(1) - 1); i < len(strips); i = int(next.Add(1) - 1) {
-				markStrip(strips[i], check, rng, &local)
+				markStrip(strips[i], check, m, &local)
 			}
 			mu.Lock()
 			total.add(local)
@@ -160,8 +160,26 @@ func MarkCellsParallel(g *Grid, hps []geom.Hyperplane, newCheck func() Checker, 
 	return total
 }
 
+// marker is one MARKCELL worker's reusable state: the rng every cell
+// reseeds, and the arrangement and probed-region map every cell resets, so
+// the arrangement's LP workspace and insertion scratch grow once per worker
+// rather than once per cell.
+type marker struct {
+	rng    *rand.Rand
+	arr    *arrangement.Arrangement
+	tested map[*arrangement.Region]int
+}
+
+func newMarker() *marker {
+	return &marker{
+		rng:    rand.New(new(splitMix64)),
+		arr:    new(arrangement.Arrangement),
+		tested: map[*arrangement.Region]int{},
+	}
+}
+
 // markCell searches one cell for a satisfactory ranking function.
-func markCell(c *Cell, hps []geom.Hyperplane, check Checker, rng *rand.Rand, stats *MarkStats, maxRegions int) (geom.Angles, bool) {
+func (m *marker) markCell(c *Cell, hps []geom.Hyperplane, check Checker, stats *MarkStats, maxRegions int) (geom.Angles, bool) {
 	if len(c.HC) == 0 {
 		// No ordering exchange crosses the cell: the ordering is constant
 		// throughout, so its center speaks for the whole cell (lines 1-5 of
@@ -172,8 +190,9 @@ func markCell(c *Cell, hps []geom.Hyperplane, check Checker, rng *rand.Rand, sta
 		}
 		return nil, false
 	}
-	arr := arrangement.New(c.Box, true, rng)
-	tested := map[*arrangement.Region]int{}
+	arr, tested := m.arr, m.tested
+	arr.Reset(c.Box, true, m.rng)
+	clear(tested)
 	probe := func() (geom.Angles, bool) {
 		for _, r := range arr.Regions() {
 			if v, seen := tested[r]; seen && v == r.Version {

@@ -3,12 +3,15 @@ package cells
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"fairrank/internal/datagen"
+	"fairrank/internal/engine"
 	"fairrank/internal/fairness"
 	"fairrank/internal/geom"
+	"fairrank/internal/planner"
 	"fairrank/internal/ranking"
 )
 
@@ -92,22 +95,40 @@ func TestProberMatchesFullRanking(t *testing.T) {
 	}
 }
 
-// Pruning stays on: at explore-md's approx shape (n=1000, d=3, 4000 cells,
-// 200 hyperplanes, a top-200 oracle) a MARKCELL probe ranks about 0.27·n
-// items; a regression to full rankings reads n.
+var (
+	exploreMDOnce sync.Once
+	exploreMD     *Approx
+	exploreMDErr  error
+)
+
+// exploreMDApprox is the approx index at explore-md's shape (n=1000, d=3,
+// 4000 cells, 200 hyperplanes, a top-200 oracle), built once per process.
+func exploreMDApprox(t *testing.T) *Approx {
+	t.Helper()
+	exploreMDOnce.Do(func() {
+		ds, err := datagen.Biased(1000, 3, 0.5, 0.3, 1, 2019)
+		if err != nil {
+			exploreMDErr = err
+			return
+		}
+		oracle, err := fairness.MinShare(ds, "group", "protected", 0.2, 0.35)
+		if err != nil {
+			exploreMDErr = err
+			return
+		}
+		exploreMD, exploreMDErr = Preprocess(ds, oracle, 4000, Options{MaxHyperplanes: 200, MaxRegionsPerCell: 512})
+	})
+	if exploreMDErr != nil {
+		t.Fatal(exploreMDErr)
+	}
+	return exploreMD
+}
+
+// Pruning stays on: at explore-md's approx shape a MARKCELL probe ranks
+// about 0.27·n items; a regression to full rankings reads n.
 func TestMarkCellRanksFewItemsPerProbe(t *testing.T) {
-	ds, err := datagen.Biased(1000, 3, 0.5, 0.3, 1, 2019)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := fairness.MinShare(ds, "group", "protected", 0.2, 0.35)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := Preprocess(ds, oracle, 4000, Options{MaxHyperplanes: 200, MaxRegionsPerCell: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := exploreMDApprox(t)
+	ds := a.DS
 	st := a.MarkStats
 	if st.OracleProbes == 0 {
 		t.Fatal("no probes")
@@ -116,5 +137,55 @@ func TestMarkCellRanksFewItemsPerProbe(t *testing.T) {
 	t.Logf("%d probes ranked %d items, %.1f per probe (n=%d)", st.OracleProbes, st.Ranked, mean, ds.N())
 	if mean > 0.35*float64(ds.N()) {
 		t.Errorf("a probe ranks %.1f items on average, want ≤ %.0f (0.35·n)", mean, 0.35*float64(ds.N()))
+	}
+}
+
+// Batch checks stay restricted: explore-md-shaped batches (256 directions
+// within about 5% per weight of a proposal, a quarter of them duplicates),
+// deduplicated and sorted by the planner and cut into fixed chunks of 32,
+// rank about 0.36·n items per fairness check; a regression to full rankings
+// reads n. The chunks are fixed rather than the planner's, whose size
+// follows measured kernel times, so the count does not depend on the host.
+func TestBatchChecksRankFewItemsPerQuery(t *testing.T) {
+	a := exploreMDApprox(t)
+	e := NewEngine(a, false)
+	n := a.DS.N()
+	r := rand.New(rand.NewSource(2022))
+	s := new(engine.Scratch)
+	for batch := 0; batch < 40; batch++ {
+		var proposal [3]float64
+		for j := range proposal {
+			proposal[j] = 0.01 + r.Float64()
+		}
+		qs := make([]geom.Vector, 256)
+		for i := range qs {
+			if i >= 192 {
+				qs[i] = qs[r.Intn(192)]
+				continue
+			}
+			qs[i] = make(geom.Vector, 3)
+			for j := range qs[i] {
+				qs[i][j] = max(0.01, proposal[j]*(1+0.05*r.NormFloat64()))
+			}
+		}
+		r.Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
+		var st planner.State
+		p := st.Plan(qs)
+		if !p.Sorted || len(p.Queries) != 192 {
+			t.Fatalf("batch %d: planner kept %d queries, sorted=%v; want 192 sorted", batch, len(p.Queries), p.Sorted)
+		}
+		for lo := 0; lo < len(p.Queries); lo += 32 {
+			chunk := p.Queries[lo:min(lo+32, len(p.Queries))]
+			e.SuggestBatchSorted(make([]engine.Result, len(chunk)), chunk, s)
+		}
+	}
+	checks, items := s.Ranked()
+	mean := float64(items) / float64(checks)
+	t.Logf("%d checks ranked %d items, %.1f per check (n=%d)", checks, items, mean, n)
+	if checks != 40*192 {
+		t.Fatalf("%d fairness checks, want one per distinct query (%d)", checks, 40*192)
+	}
+	if mean > 0.45*float64(n) {
+		t.Errorf("a batch check ranks %.1f items on average, want ≤ %.0f (0.45·n)", mean, 0.45*float64(n))
 	}
 }

@@ -36,14 +36,16 @@ func (e mdEngine) Suggest(w geom.Vector) (geom.Vector, float64, error) {
 
 // SuggestBatch is the exact-engine arena kernel. The fairness check — the
 // whole cost of the common already-fair query — ranks through the worker's
-// shared scratch buffers only as far as the oracle reads (fairness.Reads),
-// the same probe Baseline makes, and fair answers are carved out of one
-// per-chunk arena. Unfair queries fall through to the per-region NLP solves,
+// scratch only as far as the oracle reads (fairness.Reads), and only among
+// the items that can reach the oracle's top K in the chunk's box
+// (Scratch.RestrictChunk): the verdict of the probe Baseline makes. Fair
+// answers are carved out of one per-chunk arena. Unfair queries fall through to the per-region NLP solves,
 // whose cost dwarfs their allocations.
 func (e mdEngine) SuggestBatch(dst []engine.Result, queries []geom.Vector, s *engine.Scratch) {
 	idx := e.idx
 	d := idx.DS.D()
 	need := fairness.Reads(idx.Oracle)
+	s.RestrictChunk(idx.DS, queries, need)
 	arena := make([]float64, d*len(queries))
 	for i, q := range queries {
 		if len(q) != d {

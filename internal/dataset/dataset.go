@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"fairrank/internal/geom"
 )
@@ -30,6 +31,8 @@ type Dataset struct {
 	items        []geom.Vector
 	types        []TypeAttr
 	byName       map[string]int // type attribute name → index in types
+	// fp caches Fingerprint; nil until first asked for and after AddTypeAttr.
+	fp atomic.Pointer[uint64]
 }
 
 // New creates a dataset with the given scoring attribute names and item
@@ -90,6 +93,7 @@ func (ds *Dataset) AddTypeAttr(name string, labels []string, values []int) error
 		Labels: append([]string(nil), labels...),
 		Values: append([]int(nil), values...),
 	})
+	ds.fp.Store(nil)
 	return nil
 }
 

@@ -11,8 +11,19 @@ import (
 // name, labels, and per-item values. Two datasets share a fingerprint exactly
 // when a fairness oracle and a designer built over one are valid over the
 // other, so persisted indexes embed it and refuse to load against data they
-// were not built for.
+// were not built for. The digest is computed once and cached (AddTypeAttr,
+// the only mutation, discards it); concurrent callers are safe.
 func (ds *Dataset) Fingerprint() uint64 {
+	if fp := ds.fp.Load(); fp != nil {
+		return *fp
+	}
+	fp := ds.fingerprint()
+	ds.fp.Store(&fp)
+	return fp
+}
+
+// fingerprint computes Fingerprint's digest afresh.
+func (ds *Dataset) fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	writeInt := func(v int) {

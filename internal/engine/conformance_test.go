@@ -11,6 +11,7 @@ package engine_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -151,37 +152,97 @@ func TestConformanceVerdictsAndDistances(t *testing.T) {
 	}
 }
 
+// malformedChunk appends to a fan of queries the slots a chunk's box must
+// leave out — NaN, ±Inf and wrong-dimension queries — and duplicates of a
+// fan query and of a NaN one.
+func malformedChunk(fan []geom.Vector) []geom.Vector {
+	nan, inf := math.NaN(), math.Inf(1)
+	out := append([]geom.Vector(nil), fan...)
+	out = append(out,
+		geom.Vector{nan, 1}, geom.Vector{1, nan}, geom.Vector{inf, 1}, geom.Vector{1, -inf},
+		geom.Vector{0.5, 0.5, 0.5}, geom.Vector{0.5}, fan[3], fan[3], geom.Vector{nan, 1})
+	return out
+}
+
+// sameAnswers requires dst to hold e.Suggest's answer for every query: the
+// same weights bit for bit, the same distance, an error exactly where
+// Suggest gives one.
+func sameAnswers(t *testing.T, label string, e engine.Engine, queries []geom.Vector, dst []engine.Result) {
+	t.Helper()
+	for i, q := range queries {
+		out, dist, err := e.Suggest(q)
+		got := dst[i]
+		if (err != nil) != (got.Err != nil) {
+			t.Fatalf("%s slot %d: scalar err %v, batch err %v", label, i, err, got.Err)
+		}
+		if err != nil {
+			continue
+		}
+		if dist != got.Distance {
+			t.Fatalf("%s slot %d: scalar dist %v, batch dist %v", label, i, dist, got.Distance)
+		}
+		if len(out) != len(got.Weights) {
+			t.Fatalf("%s slot %d: scalar dim %d, batch dim %d", label, i, len(out), len(got.Weights))
+		}
+		for j := range out {
+			if math.Float64bits(out[j]) != math.Float64bits(got.Weights[j]) {
+				t.Fatalf("%s slot %d: scalar weights %v, batch weights %v", label, i, out, got.Weights)
+			}
+		}
+	}
+}
+
 // Every engine's batch kernel must answer bit-identically to its scalar
-// Suggest path — same weights, same distances, same errors, slot by slot.
+// Suggest path — same weights, same distances, same errors, slot by slot —
+// including the slots a chunk's restricted ranking leaves out of its box.
 func TestConformanceBatchMatchesScalar(t *testing.T) {
 	fx := buildFixture(t, 17)
 	engines := fx.engines
 	// The refined grid variant has its own kernel path; conform it too.
 	engines["approx-refined"] = cells.NewEngine(fx.approx, true)
-	queries := queryFan(41, 1.5)
+	fan := queryFan(41, 1.5)
 	// A bad query lands in the middle so error slots are exercised.
-	queries[20] = geom.Vector{0, 0}
+	fan[20] = geom.Vector{0, 0}
+	chunks := map[string][]geom.Vector{
+		"fan":       fan,
+		"malformed": malformedChunk(fan),
+		// One finite query: no box, every check ranks all n items.
+		"one finite": {geom.Vector{math.NaN(), 1}, fan[7], geom.Vector{1, 2, 3}},
+	}
 	for name, e := range engines {
-		dst := make([]engine.Result, len(queries))
-		e.SuggestBatch(dst, queries, new(engine.Scratch))
-		for i, q := range queries {
-			out, dist, err := e.Suggest(q)
-			got := dst[i]
-			if (err != nil) != (got.Err != nil) {
-				t.Fatalf("engine %s slot %d: scalar err %v, batch err %v", name, i, err, got.Err)
-			}
-			if err != nil {
-				continue
-			}
-			if dist != got.Distance {
-				t.Fatalf("engine %s slot %d: scalar dist %v, batch dist %v", name, i, dist, got.Distance)
-			}
-			if len(out) != len(got.Weights) {
-				t.Fatalf("engine %s slot %d: scalar dim %d, batch dim %d", name, i, len(out), len(got.Weights))
-			}
-			for j := range out {
-				if out[j] != got.Weights[j] {
-					t.Fatalf("engine %s slot %d: scalar weights %v, batch weights %v", name, i, out, got.Weights)
+		for cname, queries := range chunks {
+			dst := make([]engine.Result, len(queries))
+			e.SuggestBatch(dst, queries, new(engine.Scratch))
+			sameAnswers(t, "engine "+name+" chunk "+cname, e, queries, dst)
+		}
+	}
+}
+
+// A pooled scratch moves between designers: one Scratch, reset between
+// kernels as the batch layer's pool does (and once not reset at all), runs
+// the kernels of two fixtures whose datasets have the same n, and every
+// slot must still be its own engine's scalar answer.
+func TestConformanceBatchScratchAcrossDesigners(t *testing.T) {
+	a, b := buildFixture(t, 17), buildFixture(t, 40)
+	if a.ds.N() != b.ds.N() {
+		t.Fatalf("fixtures have %d and %d items, want equal n", a.ds.N(), b.ds.N())
+	}
+	fan := queryFan(33, 0.8)
+	chunks := [][]geom.Vector{fan[:16], malformedChunk(fan[16:]), {fan[5]}, {geom.Vector{math.Inf(1), 1}, fan[9]}}
+	s := new(engine.Scratch)
+	for _, name := range []string{"exact", "approx"} {
+		for round, chunk := range chunks {
+			for k, fx := range []fixture{a, b, a} {
+				e := fx.engines[name]
+				dst := make([]engine.Result, len(chunk))
+				if round == 0 {
+					e.SuggestBatchSorted(dst, chunk, s)
+				} else {
+					e.SuggestBatch(dst, chunk, s)
+				}
+				sameAnswers(t, fmt.Sprintf("engine %s round %d designer %d", name, round, k), e, chunk, dst)
+				if k != 1 {
+					s.Reset()
 				}
 			}
 		}
@@ -208,33 +269,13 @@ func TestConformanceSortedBatchMatchesScalar(t *testing.T) {
 	for _, q := range fan {
 		dupes = append(dupes, q, q, q) // consecutive duplicates share a cursor
 	}
-	orders := map[string][]geom.Vector{"ascending": fan, "descending": rev, "duplicates": dupes}
+	orders := map[string][]geom.Vector{"ascending": fan, "descending": rev, "duplicates": dupes, "malformed": malformedChunk(fan)}
 	s := new(engine.Scratch) // deliberately shared: cursors go stale between runs
 	for name, e := range engines {
 		for oname, queries := range orders {
 			dst := make([]engine.Result, len(queries))
 			e.SuggestBatchSorted(dst, queries, s)
-			for i, q := range queries {
-				out, dist, err := e.Suggest(q)
-				got := dst[i]
-				if (err != nil) != (got.Err != nil) {
-					t.Fatalf("engine %s order %s slot %d: scalar err %v, sorted-batch err %v", name, oname, i, err, got.Err)
-				}
-				if err != nil {
-					continue
-				}
-				if dist != got.Distance {
-					t.Fatalf("engine %s order %s slot %d: scalar dist %v, sorted-batch dist %v", name, oname, i, dist, got.Distance)
-				}
-				if len(out) != len(got.Weights) {
-					t.Fatalf("engine %s order %s slot %d: scalar dim %d, sorted-batch dim %d", name, oname, i, len(out), len(got.Weights))
-				}
-				for j := range out {
-					if out[j] != got.Weights[j] {
-						t.Fatalf("engine %s order %s slot %d: scalar weights %v, sorted-batch weights %v", name, oname, i, out, got.Weights)
-					}
-				}
-			}
+			sameAnswers(t, "engine "+name+" order "+oname+" (sorted batch)", e, queries, dst)
 		}
 	}
 }

@@ -8,16 +8,20 @@ import (
 )
 
 // Scratch is the per-worker arena a SuggestBatch kernel reuses across the
-// queries of a chunk: one ranking buffer (scores + order), one polar-angle
-// buffer, two cartesian probe vectors, and the resumable-kernel cursor (see
-// Engine.SuggestBatchSorted). The batch layer keeps Scratches in a pool, so
-// steady-state batch traffic allocates only the per-chunk answer arenas. A
-// Scratch must not be shared between concurrent kernels.
+// queries of a chunk: the chunk's restricted ranking (see RestrictChunk),
+// one polar-angle buffer, two cartesian probe vectors, and the
+// resumable-kernel cursor (see Engine.SuggestBatchSorted). The batch layer
+// keeps Scratches in a pool, so steady-state batch traffic allocates only
+// the per-chunk answer arenas. A Scratch must not be shared between
+// concurrent kernels.
 type Scratch struct {
-	rank   ranking.Buffers
+	rank   ranking.Restricted
 	angles geom.Angles
 	probe  geom.Angles
 	va, vb geom.Vector
+	// checks and ranked count the fairness checks since the last Reset and
+	// the items they ranked (see Ranked).
+	checks, ranked int64
 
 	// resume is engine-private cursor state a resumable kernel parks between
 	// consecutive queries (the 2D engine's interval cursor, the grid engine's
@@ -63,14 +67,17 @@ const (
 	maxRetainedAngles    = 1 << 10
 )
 
-// Reset prepares a Scratch for the pool: the resumable cursor is dropped (it
-// must never leak across batches, engines, or generations) and buffers whose
-// capacity outgrew the retention caps are released so one giant batch does
-// not pin memory for the life of the process. Contents of retained buffers
-// are not cleared — kernels always write before they read.
+// Reset prepares a Scratch for the pool: the resumable cursor and the
+// chunk's restricted ranking are dropped (neither may leak across batches,
+// engines, or generations, and a parked list must not pin its dataset) and
+// buffers whose capacity outgrew the retention caps are released so one
+// giant batch does not pin memory for the life of the process. Contents of
+// retained buffers are not cleared — kernels always write before they read.
 func (s *Scratch) Reset() {
 	s.resume = nil
 	s.resumeHits = 0
+	s.checks, s.ranked = 0, 0
+	s.rank.Drop()
 	s.rank.Trim(maxRetainedRankItems)
 	if cap(s.angles) > maxRetainedAngles {
 		s.angles = nil
@@ -83,17 +90,61 @@ func (s *Scratch) Reset() {
 	}
 }
 
+// RestrictChunk prepares CheckFair for the queries of one kernel chunk.
+// When need reads a top K with 1 ≤ K < n and at least two queries have ds's
+// dimension and only finite values, it restricts the scratch's ranking to
+// the items that can reach the top K anywhere in the coordinate-wise box of
+// those queries (ranking.Restricted); any earlier restriction is dropped
+// first. Every query of the box then ranks only those items, with the top-K
+// set and sorted prefix a full ranking gives; any other query ranks all n.
+// need is fairness.Reads of the oracle CheckFair will evaluate.
+func (s *Scratch) RestrictChunk(ds *dataset.Dataset, queries []geom.Vector, need ranking.Need) {
+	s.rank.Drop()
+	d := ds.D()
+	if need.K < 1 || need.K >= ds.N() {
+		return
+	}
+	lo, hi := s.Vectors(d) // Restrict copies the box
+	boxed := 0
+	for _, q := range queries {
+		if len(q) != d || !q.IsFinite() {
+			continue
+		}
+		if boxed == 0 {
+			copy(lo, q)
+			copy(hi, q)
+		}
+		for j, v := range q {
+			lo[j], hi[j] = min(lo[j], v), max(hi[j], v)
+		}
+		boxed++
+	}
+	if boxed < 2 {
+		return
+	}
+	// The box has ds's dimension and K ≥ 1, so Restrict cannot fail.
+	_, _ = s.rank.Restrict(ds, lo, hi, need.K)
+}
+
 // CheckFair evaluates the oracle on the ordering w induces, ranking through
-// the scratch buffers only as far as need says the oracle reads. need is
+// the chunk's restriction (RestrictChunk) when it covers w, and otherwise
+// all n items, each only as far as need says the oracle reads. need is
 // fairness.Reads(oracle), hoisted by the caller so a chunk pays the type
 // switch once.
 func (s *Scratch) CheckFair(ds *dataset.Dataset, oracle fairness.Oracle, w geom.Vector, need ranking.Need) (bool, error) {
-	order, err := s.rank.Rank(ds, w, need)
+	order, ranked, err := s.rank.Rank(ds, w, need)
 	if err != nil {
 		return false, err
 	}
+	s.checks++
+	s.ranked += int64(ranked)
 	return oracle.Check(order), nil
 }
+
+// Ranked returns how many fairness checks ran on this scratch since its
+// last Reset and how many items they ranked in all: n per check without a
+// chunk restriction, the kept items per check with one.
+func (s *Scratch) Ranked() (checks, items int64) { return s.checks, s.ranked }
 
 // Angles returns the reusable m-angle polar buffer.
 func (s *Scratch) Angles(m int) geom.Angles {

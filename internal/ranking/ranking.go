@@ -60,22 +60,6 @@ func sortByScore(order []int, s []float64) {
 type Buffers struct {
 	scores []float64
 	order  []int
-	// hi holds Restrict's upper score bounds. restricted is the order
-	// buffer as the last Restrict left it, kept items first; nil when no
-	// restriction is in force. kept counts the kept items and keptK is the
-	// top-k they cover.
-	hi          []float64
-	restricted  []int
-	kept, keptK int
-}
-
-// grow sizes the buffers for n items, dropping any restriction.
-func (b *Buffers) grow(n int) {
-	if cap(b.scores) < n {
-		b.scores = make([]float64, n)
-		b.order = make([]int, n)
-	}
-	b.restricted = nil
 }
 
 // fill computes scores and the identity permutation into the reusable
@@ -86,7 +70,10 @@ func (b *Buffers) fill(ds *dataset.Dataset, w geom.Vector) ([]float64, []int, er
 		return nil, nil, fmt.Errorf("ranking: weight dimension %d, dataset has %d attributes", len(w), ds.D())
 	}
 	n := ds.N()
-	b.grow(n)
+	if cap(b.scores) < n {
+		b.scores = make([]float64, n)
+		b.order = make([]int, n)
+	}
 	s := b.scores[:n]
 	order := b.order[:n]
 	for i := 0; i < n; i++ {
@@ -112,7 +99,7 @@ func (b *Buffers) Order(ds *dataset.Dataset, w geom.Vector) ([]int, error) {
 // pass over a giant dataset does not pin arrays of its size forever.
 func (b *Buffers) Trim(maxItems int) {
 	if cap(b.scores) > maxItems {
-		b.scores, b.order, b.hi, b.restricted = nil, nil, nil, nil
+		b.scores, b.order = nil, nil
 	}
 }
 

@@ -637,3 +637,34 @@ func TestDatasetFingerprint(t *testing.T) {
 		t.Error("fingerprint ignored an added type attribute")
 	}
 }
+
+// A dataset built from a spec caches its fingerprint: every call, first or
+// cached, equals the digest of a second build of the same spec, and a type
+// attribute added afterwards changes it.
+func TestDatasetSpecBuildFingerprintCached(t *testing.T) {
+	spec := DatasetSpec{
+		Scoring: []string{"a", "b"},
+		Rows:    [][]float64{{1, 2}, {3, 4}, {0.5, 7}},
+		Types:   []TypeAttrSpec{{Name: "g", Labels: []string{"x", "y"}, Values: []int{0, 1, 1}}},
+	}
+	ds, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fresh.Fingerprint()
+	for call := 0; call < 2; call++ {
+		if got := ds.Fingerprint(); got != want {
+			t.Fatalf("call %d: fingerprint %#x, a fresh build's %#x", call, got, want)
+		}
+	}
+	if err := ds.AddTypeAttr("h", []string{"p"}, []int{0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if ds.Fingerprint() == want {
+		t.Fatal("fingerprint unchanged by AddTypeAttr")
+	}
+}
