@@ -85,12 +85,19 @@ func NewGrid(d, n int) (*Grid, error) {
 }
 
 // partitionAxis builds the node for axis i given the prefix angles of
-// enclosing ranges (the row-start angles Θ of Algorithm 12).
+// enclosing ranges (the row-start angles Θ of Algorithm 12). Eq. 16's prefix
+// sum and, on the last axis, the upper bounds of the enclosing ranges depend
+// only on the prefix, so each is computed once per row.
 func (g *Grid) partitionAxis(axis int, prefix geom.Angles) *axisNode {
 	node := &axisNode{bounds: []float64{0}}
+	sum := prefixSum(prefix)
+	var highs geom.Vector
+	if axis == g.D-2 {
+		highs = prefixHighs(prefix, g.Gamma)
+	}
 	theta := 0.0
 	for theta < math.Pi/2-1e-12 {
-		next := nextBoundary(theta, prefix, g.Gamma)
+		next := stepFrom(theta, sum, g.Gamma)
 		if next > math.Pi/2 {
 			next = math.Pi / 2
 		}
@@ -98,8 +105,9 @@ func (g *Grid) partitionAxis(axis int, prefix geom.Angles) *axisNode {
 		if axis == g.D-2 {
 			// Last axis: materialize the cell for this range column.
 			lo := append(prefixLows(prefix), theta)
-			hi := append(prefixHighs(prefix, g.Gamma), next)
-			box := geom.Box{Lo: lo, Hi: hi}
+			hi := make(geom.Vector, len(highs), len(highs)+1)
+			copy(hi, highs)
+			box := geom.Box{Lo: lo, Hi: append(hi, next)}
 			c := &Cell{
 				Index:  len(g.Cells),
 				Box:    box,
@@ -127,7 +135,7 @@ func prefixLows(prefix geom.Angles) geom.Vector {
 // starts at the recorded prefix angle and extends by the step Eq. 16
 // produced there (capped at π/2).
 func prefixHighs(prefix geom.Angles, gamma float64) geom.Vector {
-	hi := make(geom.Vector, len(prefix), len(prefix)+1)
+	hi := make(geom.Vector, len(prefix))
 	for k, th := range prefix {
 		h := nextBoundary(th, prefix[:k], gamma)
 		if h > math.Pi/2 {
@@ -141,9 +149,13 @@ func prefixHighs(prefix geom.Angles, gamma float64) geom.Vector {
 // nextBoundary evaluates Eq. 16: given the current angle θ on the axis
 // being partitioned and the prefix angles Θ of the enclosing rows, find θ'
 // such that the rays of ⟨Θ, θ, 0...⟩ and ⟨Θ, θ', 0...⟩ are γ apart.
-// α = cos θ · Σ_{k=0}^{i-1} sin²Θ_k Π_{l=k+1}^{i-1} cos²Θ_l (Θ_0 = π/2),
-// β = sin θ, δ = arctan(β/α), Δ = √(α²+β²), θ' = arccos(cos γ / Δ) + δ.
 func nextBoundary(theta float64, prefix geom.Angles, gamma float64) float64 {
+	return stepFrom(theta, prefixSum(prefix), gamma)
+}
+
+// prefixSum is the part of Eq. 16 that depends only on the prefix angles:
+// Σ_{k=0}^{i-1} sin²Θ_k Π_{l=k+1}^{i-1} cos²Θ_l (Θ_0 = π/2).
+func prefixSum(prefix geom.Angles) float64 {
 	full := append(geom.Angles{math.Pi / 2}, prefix...)
 	var sum float64
 	for k := 0; k < len(full); k++ {
@@ -153,6 +165,12 @@ func nextBoundary(theta float64, prefix geom.Angles, gamma float64) float64 {
 		}
 		sum += term
 	}
+	return sum
+}
+
+// stepFrom is Eq. 16 given the prefix sum: α = cos θ · sum, β = sin θ,
+// δ = arctan(β/α), Δ = √(α²+β²), θ' = arccos(cos γ / Δ) + δ.
+func stepFrom(theta, sum, gamma float64) float64 {
 	alpha := math.Cos(theta) * sum
 	beta := math.Sin(theta)
 	delta := math.Atan2(beta, alpha)

@@ -1,6 +1,9 @@
 package cells
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -157,6 +160,60 @@ func TestCellsDisjoint(t *testing.T) {
 		}
 		if count > 1 {
 			t.Fatalf("point %v inside %d cells", theta, count)
+		}
+	}
+}
+
+// gridDigest is a SHA-256 over every number NewGrid produces: each cell's
+// box bounds and centre in cell order, then every axis node's bounds in
+// depth-first order.
+func gridDigest(g *Grid) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v []float64) {
+		for _, x := range v {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+			h.Write(buf[:])
+		}
+	}
+	for _, c := range g.Cells {
+		put(c.Box.Lo)
+		put(c.Box.Hi)
+		put(c.Center)
+	}
+	var walk func(n *axisNode)
+	walk = func(n *axisNode) {
+		put(n.bounds)
+		for _, ch := range n.children {
+			walk(ch)
+		}
+	}
+	walk(g.root)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// The partition is pinned bit for bit: approx indexes persist only cell
+// states and functions, and LoadIndex re-runs NewGrid to rebuild the boxes,
+// so any change in the partition's floating-point operations would move
+// every approx answer and orphan every stored index.
+func TestGridDigests(t *testing.T) {
+	for _, tc := range []struct {
+		d, n   int
+		digest string
+	}{
+		{2, 100, "d69d5b34bc270fe1f3e095b76a75d940ad7c123961e9648bb2b1475e68454207"},
+		{3, 500, "1dfb2b2a3157b540f26593c27bfdc5fa3767e3ee6cd671d8b694038fe34985d7"},
+		{3, 4000, "a6bd4e90f2e551eff68f0c50c9b2c51454532f3be931fbb2113f833d25f24c3b"},
+		{3, 20000, "5fc29972df4aeddb1f819f16145c2fd456aef3a5ee2a3f7d4d6dac6a626dedb7"},
+		{4, 3000, "2a723d25145acb07fc94dfe92e2f08234314ebd07dd515f49057eb61fb6077da"},
+		{5, 2000, "22b036b9c44bce678c71fd13b0b3edc1525d58802b9beda8aa227ca1171e5dac"},
+	} {
+		g, err := NewGrid(tc.d, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := gridDigest(g); got != tc.digest {
+			t.Errorf("NewGrid(%d, %d): %d cells, digest %s, want %s", tc.d, tc.n, g.NumCells(), got, tc.digest)
 		}
 	}
 }

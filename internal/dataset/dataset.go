@@ -52,12 +52,20 @@ func New(scoringNames []string, rows [][]float64) (*Dataset, error) {
 			return nil, fmt.Errorf("dataset: row %d has %d values, want %d", i, len(row), d)
 		}
 		v := geom.Vector(row).Clone()
-		if !v.IsFinite() {
-			return nil, fmt.Errorf("dataset: row %d has non-finite value", i)
+		if err := checkRow(i, v); err != nil {
+			return nil, err
 		}
 		ds.items[i] = v
 	}
 	return ds, nil
+}
+
+// checkRow is New's check on each item's values.
+func checkRow(i int, v geom.Vector) error {
+	if !v.IsFinite() {
+		return fmt.Errorf("dataset: row %d has non-finite value", i)
+	}
+	return nil
 }
 
 // N returns the number of items.
@@ -76,6 +84,16 @@ func (ds *Dataset) Item(i int) geom.Vector { return ds.items[i] }
 // AddTypeAttr attaches a categorical attribute. Values must index Labels and
 // have length N.
 func (ds *Dataset) AddTypeAttr(name string, labels []string, values []int) error {
+	if err := checkTypeAttr(ds, name, labels, values); err != nil {
+		return err
+	}
+	ds.addTypeAttr(name, append([]string(nil), labels...), append([]int(nil), values...))
+	return nil
+}
+
+// checkTypeAttr is AddTypeAttr's check: a new name, one value per item, and
+// every value an index into labels.
+func checkTypeAttr[V int | int64](ds *Dataset, name string, labels []string, values []V) error {
 	if _, dup := ds.byName[name]; dup {
 		return fmt.Errorf("dataset: duplicate type attribute %q", name)
 	}
@@ -83,18 +101,18 @@ func (ds *Dataset) AddTypeAttr(name string, labels []string, values []int) error
 		return fmt.Errorf("dataset: type %q has %d values, want %d", name, len(values), ds.N())
 	}
 	for i, v := range values {
-		if v < 0 || v >= len(labels) {
+		if v < 0 || v >= V(len(labels)) {
 			return fmt.Errorf("dataset: type %q value %d out of range at item %d", name, v, i)
 		}
 	}
-	ds.byName[name] = len(ds.types)
-	ds.types = append(ds.types, TypeAttr{
-		Name:   name,
-		Labels: append([]string(nil), labels...),
-		Values: append([]int(nil), values...),
-	})
-	ds.fp.Store(nil)
 	return nil
+}
+
+// addTypeAttr attaches a checked attribute, taking ownership of its slices.
+func (ds *Dataset) addTypeAttr(name string, labels []string, values []int) {
+	ds.byName[name] = len(ds.types)
+	ds.types = append(ds.types, TypeAttr{Name: name, Labels: labels, Values: values})
+	ds.fp.Store(nil)
 }
 
 // TypeAttr returns the named categorical attribute.

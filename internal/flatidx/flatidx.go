@@ -1,13 +1,13 @@
-// Package flatidx is the zero-copy flat index payload format: a fixed-width
+// Package flatidx is the zero-copy flat payload format: a fixed-width
 // header, a section table, and raw little-endian slabs (float64 / int64 /
-// uint8) holding each engine's hot arrays. Decoding does ONE read of the
-// whole payload and reinterprets the slabs as slices in place — no
-// per-element decode, so index activation cost is (almost) independent of
-// index size, the same load-time-vs-query-time tradeoff the paper's offline
-// index precomputation is built on. Every section carries a CRC32C, so a
-// damaged or truncated stream is detected before any slab is trusted, and a
-// broken transfer can resume at the last complete section boundary
-// (CompletePrefix) instead of restarting.
+// uint8) holding each engine's hot arrays, or a dataset's columns. Decoding
+// does ONE read of the whole payload and reinterprets the slabs as slices in
+// place — no per-element decode, so index activation cost is (almost)
+// independent of index size, the same load-time-vs-query-time tradeoff the
+// paper's offline index precomputation is built on. Every section carries a
+// CRC32C, so a damaged or truncated stream is detected before any slab is
+// trusted, and a broken transfer can resume at the last complete section
+// boundary (CompletePrefix) instead of restarting.
 //
 // Layout (all integers little-endian, every section payload padded to an
 // 8-byte boundary so slab reinterpretation stays aligned):
@@ -15,15 +15,18 @@
 //	offset  size  field
 //	0       8     magic "FRNKFLT1"
 //	8       4     flat format version (currently 1)
-//	12      4     engine kind (twod / exact / approx)
+//	12      4     payload kind (twod / exact / approx index, or dataset)
 //	16      4     section count
 //	20      4     reserved (0)
-//	24      24×k  section table: kind, elem width, byte length, CRC32C, pad
-//	…       …     section payloads, in table order, 8-byte aligned
+//	24      24×k  section table: kind, elem width, byte length, CRC32C, pad (0)
+//	…       …     section payloads, in table order, 8-byte aligned (zero padding)
 //
-// The format is engine-agnostic: each engine package defines its own section
-// kinds and validates cross-section invariants after decoding. The universal
-// stream header of persist.go stays in front of this payload.
+// The format is agnostic of what it carries: each engine package (and
+// internal/dataset) defines its own section kinds and validates
+// cross-section invariants after decoding. The reserved word, the table pads
+// and the alignment padding must be zero, so every byte of a payload is
+// checked by a checksum, a decoder, or this rule. The universal stream header
+// of persist.go stays in front of an index payload.
 package flatidx
 
 import (
@@ -45,11 +48,13 @@ var Magic = [8]byte{'F', 'R', 'N', 'K', 'F', 'L', 'T', '1'}
 // FormatVersion is the current flat payload layout version.
 const FormatVersion = 1
 
-// Engine kinds carried in the payload header, one per index engine.
+// Payload kinds carried in the header: one per index engine, plus the
+// dataset file of a data directory (internal/dataset).
 const (
-	KindTwoD   uint32 = 1
-	KindExact  uint32 = 2
-	KindApprox uint32 = 3
+	KindTwoD    uint32 = 1
+	KindExact   uint32 = 2
+	KindApprox  uint32 = 3
+	KindDataset uint32 = 4
 )
 
 // Element widths of the three slab types.
@@ -238,6 +243,9 @@ func parseTable(head []byte) (entries []tableEntry, kind uint32, blobLen int, er
 	if v := le.Uint32(head[8:]); v != FormatVersion {
 		return nil, 0, 0, fmt.Errorf("flatidx: payload format version %d, want %d", v, FormatVersion)
 	}
+	if r := le.Uint32(head[20:]); r != 0 {
+		return nil, 0, 0, Corruptf("reserved header word is %#x, want 0", r)
+	}
 	kind = le.Uint32(head[12:])
 	count := le.Uint32(head[16:])
 	if count > maxSections {
@@ -256,6 +264,9 @@ func parseTable(head []byte) (entries []tableEntry, kind uint32, blobLen int, er
 			length: le.Uint64(e[8:]),
 			crc:    le.Uint32(e[16:]),
 			off:    off,
+		}
+		if p := le.Uint32(e[20:]); p != 0 {
+			return nil, 0, 0, Corruptf("section %d: table pad is %#x, want 0", i, p)
 		}
 		switch entries[i].width {
 		case width64, width8:
@@ -318,16 +329,58 @@ func Read(r io.Reader) (*Reader, error) {
 	if int(n) != blobLen {
 		return nil, Corruptf("payload truncated: have %d of %d blob bytes", n, blobLen)
 	}
-	blob := buf.Bytes()
+	return verify(kind, entries, buf.Bytes())
+}
+
+// Parse decodes a flat payload held whole in memory, such as a file read
+// with os.ReadFile, with the checks Read makes; b must hold exactly the
+// payload, no more. The slabs alias b when it is 8-byte aligned, as every
+// slice os.ReadFile returns is, and a private copy otherwise. Nothing is
+// allocated in proportion to what the header claims, only to len(b).
+func Parse(b []byte) (*Reader, error) {
+	if len(b) < headerSize {
+		return nil, Corruptf("payload of %d bytes has no header", len(b))
+	}
+	count := binary.LittleEndian.Uint32(b[16:])
+	if count > maxSections {
+		return nil, Corruptf("section count %d exceeds limit %d", count, maxSections)
+	}
+	tableEnd := headerSize + int(count)*entrySize
+	if len(b) < tableEnd {
+		return nil, Corruptf("truncated section table")
+	}
+	entries, kind, blobLen, err := parseTable(b[:tableEnd])
+	if err != nil {
+		return nil, err
+	}
+	if have := len(b) - tableEnd; have != blobLen {
+		return nil, Corruptf("payload holds %d blob bytes, its table describes %d", have, blobLen)
+	}
+	blob := b[tableEnd:]
+	if uintptr(unsafe.Pointer(unsafe.SliceData(blob)))%width64 != 0 {
+		blob = bytes.Clone(blob)
+	}
+	return verify(kind, entries, blob)
+}
+
+// verify checks every section's checksum and that the alignment padding
+// after it is zero, and returns the Reader over blob.
+func verify(kind uint32, entries []tableEntry, blob []byte) (*Reader, error) {
 	for i, e := range entries {
-		if got := crc32.Checksum(blob[e.off:e.off+int(e.length)], crcTable); got != e.crc {
+		end := e.off + int(e.length)
+		if got := crc32.Checksum(blob[e.off:end], crcTable); got != e.crc {
 			return nil, Corruptf("section %d (kind %d): checksum mismatch (%#x != %#x)", i, e.kind, got, e.crc)
+		}
+		for _, p := range blob[end : e.off+pad8(int(e.length))] {
+			if p != 0 {
+				return nil, Corruptf("section %d (kind %d): nonzero alignment padding", i, e.kind)
+			}
 		}
 	}
 	return &Reader{kind: kind, entries: entries, blob: blob}, nil
 }
 
-// EngineKind returns the engine kind tag from the payload header.
+// EngineKind returns the payload kind tag from the header.
 func (r *Reader) EngineKind() uint32 { return r.kind }
 
 // Sections returns how many sections the payload carries.

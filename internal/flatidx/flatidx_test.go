@@ -55,54 +55,63 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // Every single-byte truncation and every single-byte flip of a valid payload
-// must fail with ErrCorrupt — never panic, never succeed with damaged slabs.
+// must fail with ErrCorrupt, through Read and through Parse — never panic,
+// never succeed with damaged slabs.
 func TestHostileStreams(t *testing.T) {
 	good := buildPayload(t)
-	for cut := 0; cut < len(good); cut++ {
-		if _, err := Read(bytes.NewReader(good[:cut])); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("truncation at %d: got %v, want ErrCorrupt", cut, err)
-		}
-	}
 	tableEnd := headerSize + 4*entrySize
-	for i := 0; i < len(good); i++ {
-		bad := append([]byte(nil), good...)
-		bad[i] ^= 0xff
-		_, err := Read(bytes.NewReader(bad))
-		if err == nil {
-			// The only flips that may pass the byte-level checks are the
-			// fields checksums deliberately do not cover: the engine kind,
-			// section kind tags, and reserved padding — all validated by the
-			// engine decoders above this layer. Any flipped slab byte, or
-			// any table byte that feeds lengths, widths, or checksums, must
-			// be caught right here.
-			switch {
-			case i >= 12 && i < 16: // engine kind
-			case i >= 20 && i < headerSize: // header reserved
-			case i >= headerSize && i < tableEnd &&
-				((i-headerSize)%entrySize < 4 || (i-headerSize)%entrySize >= 20):
-				// section kind tag or entry reserved pad
-			case i >= tableEnd && isPaddingByte(good, i, tableEnd):
-				// inter-section alignment padding is outside every checksum
-			default:
-				t.Fatalf("flip at byte %d went undetected", i)
+	for name, decode := range map[string]func([]byte) (*Reader, error){
+		"Read":  func(b []byte) (*Reader, error) { return Read(bytes.NewReader(b)) },
+		"Parse": Parse,
+	} {
+		for cut := 0; cut < len(good); cut++ {
+			if _, err := decode(good[:cut]); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: truncation at %d: got %v, want ErrCorrupt", name, cut, err)
+			}
+		}
+		for i := 0; i < len(good); i++ {
+			bad := append([]byte(nil), good...)
+			bad[i] ^= 0xff
+			if _, err := decode(bad); err == nil {
+				// The only flips that may pass the byte-level checks are the
+				// payload kind and the section kind tags, which the decoders
+				// above this layer check. Any flipped slab byte, any table
+				// byte that feeds lengths, widths or checksums, and any
+				// reserved or padding byte must be caught right here.
+				switch {
+				case i >= 12 && i < 16: // payload kind
+				case i >= headerSize && i < tableEnd && (i-headerSize)%entrySize < 4: // section kind tag
+				default:
+					t.Fatalf("%s: flip at byte %d went undetected", name, i)
+				}
 			}
 		}
 	}
 }
 
-// isPaddingByte reports whether byte i of the payload lies in the alignment
-// padding after a section slab (the fixture's sections have lengths 24, 16,
-// 5, 0 — only the 5-byte slab is padded).
-func isPaddingByte(payload []byte, i, tableEnd int) bool {
-	lens := []int{24, 16, 5, 0}
-	off := tableEnd
-	for _, n := range lens {
-		if i >= off+n && i < off+pad8(n) {
-			return true
-		}
-		off += pad8(n)
+// Parse takes exactly one payload: a trailing byte is damage, not slack. A
+// misaligned buffer decodes to the same slabs as an aligned one.
+func TestParse(t *testing.T) {
+	good := buildPayload(t)
+	if _, err := Parse(append(append([]byte(nil), good...), 0)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("trailing byte: got %v, want ErrCorrupt", err)
 	}
-	return false
+	shifted := make([]byte, len(good)+1)
+	copy(shifted[1:], good)
+	for _, b := range [][]byte{good, shifted[1:]} {
+		r, err := Parse(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := r.Float64s(1)
+		if err != nil || len(f) != 3 || f[1] != 0.5 {
+			t.Fatalf("Float64s: %v %v", f, err)
+		}
+		i, err := r.Int64s(2)
+		if err != nil || len(i) != 2 || i[0] != -7 {
+			t.Fatalf("Int64s: %v %v", i, err)
+		}
+	}
 }
 
 func TestWrongSectionCount(t *testing.T) {

@@ -303,7 +303,7 @@ status=0; wait "$pid0" || status=$?
 [[ $status -eq 0 ]] || { echo "node-0 exited with status ${status}" >&2; exit 1; }
 status=0; wait "$pid1" || status=$?
 [[ $status -eq 0 ]] || { echo "node-1 exited with status ${status}" >&2; exit 1; }
-[[ -f "${workdir}/data0/smoke.dataset.json" ]] || { echo "dataset not persisted" >&2; exit 1; }
+[[ -f "${workdir}/data0/smoke.dataset" ]] || { echo "dataset not persisted" >&2; exit 1; }
 ls "${workdir}"/data*/smoke-designer-0.index >/dev/null 2>&1 \
   || { echo "index not persisted anywhere" >&2; exit 1; }
 echo "== clean shutdown, state persisted"

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"fairrank/internal/cluster"
+	"fairrank/internal/dataset"
 	"fairrank/internal/obs"
 	"fairrank/internal/service"
 )
@@ -337,11 +338,17 @@ func metaKeyDesigner(id string) string { return "designer/" + id }
 // AddDataset registers a dataset under an id and records it in the
 // replicated metadata store, versioned for anti-entropy repair.
 func (s *Server) AddDataset(id string, ds *Dataset) error {
-	if err := validateID(id); err != nil {
-		return err
-	}
 	if ds == nil {
 		return errors.New("fairrank: nil dataset")
+	}
+	return s.addDataset(id, ds, ds.Fingerprint())
+}
+
+// addDataset registers a dataset at a revision: its content fingerprint for
+// a new dataset, the saved one for a dataset LoadDir restores.
+func (s *Server) addDataset(id string, ds *Dataset, rev uint64) error {
+	if err := validateID(id); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	if _, dup := s.datasets[id]; dup {
@@ -349,10 +356,10 @@ func (s *Server) AddDataset(id string, ds *Dataset) error {
 		return fmt.Errorf("%w: dataset %q", ErrDuplicateID, id)
 	}
 	s.datasets[id] = ds
-	s.datasetRevs[id] = ds.Fingerprint()
+	s.datasetRevs[id] = rev
 	s.mu.Unlock()
 	spec := SpecOfDataset(ds)
-	spec.Revision = ds.Fingerprint()
+	spec.Revision = rev
 	payload, err := json.Marshal(spec)
 	if err != nil {
 		return err
@@ -754,24 +761,29 @@ func (s *Server) DatasetIDs() []string {
 	return ids
 }
 
-// SaveDir persists the server's state into dir: every dataset as JSON, every
-// known designer's spec manifest (remote-owned ones included, so a restarted
-// node can still route or fail over for them), and — for locally served
-// designers whose build has finished — the index stream itself, so the next
-// startup serves without re-running the offline phase.
+// SaveDir persists the server's state into dir: every dataset as a binary
+// dataset file (internal/dataset) at its revision, every known designer's
+// spec manifest (remote-owned ones included, so a restarted node can still
+// route or fail over for them), and — for locally served designers whose
+// build has finished — the index stream itself, so the next startup serves
+// without re-running the offline phase.
 func (s *Server) SaveDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	for _, id := range s.DatasetIDs() {
-		ds, _ := s.Dataset(id)
-		spec := SpecOfDataset(ds)
-		if rev, ok := s.DatasetRevision(id); ok {
-			spec.Revision = rev
+		s.mu.RLock()
+		ds, rev := s.datasets[id], s.datasetRevs[id]
+		s.mu.RUnlock()
+		err := writeFileAtomic(filepath.Join(dir, id+datasetFileSuffix), func(w io.Writer) error {
+			return dataset.Encode(w, ds, rev)
+		})
+		if err != nil {
+			return fmt.Errorf("fairrank: saving dataset %q: %w", id, err)
 		}
-		if err := writeJSONFile(filepath.Join(dir, id+".dataset.json"), spec); err != nil {
-			return err
-		}
+		// The binary file replaces the JSON one of earlier builds; should
+		// the removal fail, the binary file still wins on load.
+		os.Remove(filepath.Join(dir, id+legacyDatasetSuffix))
 	}
 	for _, id := range s.DesignerIDs() {
 		s.mu.RLock()
@@ -840,6 +852,14 @@ type metaVersionRecord struct {
 	Payload json.RawMessage `json:"payload,omitempty"`
 }
 
+// Dataset file names in a data directory: SaveDir writes the binary file;
+// builds before it wrote a DatasetSpec JSON file, which LoadDir still reads
+// when no binary file of the same id is there.
+const (
+	datasetFileSuffix   = ".dataset"
+	legacyDatasetSuffix = ".dataset.json"
+)
+
 // LoadDir restores SaveDir state: datasets first, then the persisted ring
 // and replication records, then designers — the ones this node owns from
 // their index file when present and loadable (serving immediately), falling
@@ -853,31 +873,22 @@ func (s *Server) LoadDir(dir string) error {
 		return err
 	}
 	for _, e := range entries {
-		id, ok := strings.CutSuffix(e.Name(), ".dataset.json")
-		if !ok {
-			continue
+		id, flat := strings.CutSuffix(e.Name(), datasetFileSuffix)
+		if !flat {
+			var legacy bool
+			if id, legacy = strings.CutSuffix(e.Name(), legacyDatasetSuffix); !legacy {
+				continue
+			}
+			if _, err := os.Stat(filepath.Join(dir, id+datasetFileSuffix)); err == nil {
+				continue // a save stopped between the two files: the binary one is newer
+			}
 		}
-		var spec DatasetSpec
-		if err := readJSONFile(filepath.Join(dir, e.Name()), &spec); err != nil {
-			return err
-		}
-		ds, err := spec.Build()
+		ds, rev, err := loadDatasetFile(filepath.Join(dir, e.Name()), !flat)
 		if err != nil {
 			return fmt.Errorf("fairrank: dataset %q: %w", id, err)
 		}
-		if err := s.AddDataset(id, ds); err != nil {
+		if err := s.addDataset(id, ds, rev); err != nil {
 			return err
-		}
-		if spec.Revision != 0 && spec.Revision != ds.Fingerprint() {
-			// The dataset was patched before the save: restore the revision
-			// lineage (AddDataset seeded the content fingerprint) and re-record
-			// the spec so the replicated entry carries it too.
-			s.mu.Lock()
-			s.datasetRevs[id] = spec.Revision
-			s.mu.Unlock()
-			if payload, merr := json.Marshal(spec); merr == nil {
-				s.meta.Put(metaKeyDataset(id), payload)
-			}
 		}
 	}
 	// Records that carry payload bytes (the membership, the replica config,
@@ -926,6 +937,30 @@ func (s *Server) LoadDir(dir string) error {
 		s.originateReplicaConfig(s.cfgReplicas)
 	}
 	return nil
+}
+
+// loadDatasetFile reads one dataset file of a data directory and returns the
+// dataset with its saved revision.
+func loadDatasetFile(path string, legacy bool) (ds *Dataset, rev uint64, err error) {
+	if legacy {
+		var spec DatasetSpec
+		if err = readJSONFile(path, &spec); err == nil {
+			ds, err = spec.Build()
+			rev = spec.Revision
+		}
+	} else {
+		var raw []byte
+		if raw, err = os.ReadFile(path); err == nil {
+			ds, rev, err = dataset.Decode(raw)
+		}
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	if rev == 0 {
+		rev = ds.Fingerprint() // saved before datasets became patchable
+	}
+	return ds, rev, nil
 }
 
 // loadDesigner restores one designer: from its persisted index when this
