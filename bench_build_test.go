@@ -1,13 +1,15 @@
-// Build benchmarks: the offline phase of each engine at the shape perfbench
-// builds it. BenchmarkBuild2D is loop-2d's designer (n=5000 biased items,
-// d=2): the pair enumeration, the sort and the ray sweep. The two d=3
-// engines run at explore-md's shapes (n=1000; exact capped at 40
+// Build benchmarks: the offline phase of each engine, three of them at the
+// shape perfbench builds it. BenchmarkBuild2D is loop-2d's designer (n=5000
+// biased items, d=2): the pair enumeration, the sort and the ray sweep. The
+// two d=3 engines run at explore-md's shapes (n=1000; exact capped at 40
 // hyperplanes, approx at 4000 cells and 200 hyperplanes): fitting the kept
 // hyperplanes, building the arrangement or grid, and probing the oracle
-// (region labeling or MARKCELL). Every dataset is datagen.Biased seed 2019
-// under MinShare 0.2/0.35, and each iteration is one NewDesigner call. CI
-// runs these with -bench BenchmarkBuild and gates them against
-// BENCH_build.json (cmd/benchjson).
+// (region labeling or MARKCELL). BenchmarkBuildExact2D is an uncapped d=2
+// exact build (n=200: 10,560 exchanges, 10,561 regions): the arrangement
+// inserts, then one oracle probe per region witness. Every dataset is
+// datagen.Biased seed 2019 under MinShare 0.2/0.35, and each iteration is
+// one NewDesigner call. CI runs these with -bench BenchmarkBuild and gates
+// them against BENCH_build.json (cmd/benchjson).
 package fairrank_test
 
 import (
@@ -37,6 +39,10 @@ func benchBuild(b *testing.B, n, d int, cfg fairrank.Config) {
 
 func BenchmarkBuild2D(b *testing.B) {
 	benchBuild(b, 5000, 2, fairrank.Config{Mode: fairrank.Mode2D})
+}
+
+func BenchmarkBuildExact2D(b *testing.B) {
+	benchBuild(b, 200, 2, fairrank.Config{Mode: fairrank.ModeExact})
 }
 
 func BenchmarkBuildExactMD(b *testing.B) {

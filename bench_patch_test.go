@@ -1,14 +1,13 @@
-// Patch benchmarks across all three engines: single-item dataset churn
-// applied through Designer.Patch on the incremental-repair path vs the full
-// rebuild fallback. The same API call measures both sides — the repair
-// fixture's churn threshold admits the delta, the rebuild fixture's
-// RepairChurnFrac of -1 forces the fallback — so the pair is an apples-to-
-// apples cost of "one item changed" with and without index reuse. CI runs
-// these with -bench BenchmarkPatch and converts the output to
-// BENCH_patch.json (cmd/benchjson). Both the exact and the approx fixture
-// cap their hyperplanes, and a capped build fits only the kept pairs, so
-// their repair and rebuild cost about the same; the pairs gate each path
-// against its own regression.
+// Patch benchmarks: single-item dataset churn applied through
+// Designer.Patch. The 2D engine is the only one that repairs, and its pair
+// measures the incremental-repair path against the full rebuild fallback
+// through the same API call — the repair fixture's churn threshold admits
+// the delta, the rebuild fixture's RepairChurnFrac of -1 forces the
+// fallback — so the pair is an apples-to-apples cost of "one item changed"
+// with and without index reuse. The exact and approx engines always
+// rebuild, so each has only its rebuild benchmark. CI runs these with
+// -bench BenchmarkPatch and converts the output to BENCH_patch.json
+// (cmd/benchjson).
 package fairrank_test
 
 import (
@@ -28,9 +27,9 @@ type patchStep struct {
 	delta  fairrank.DatasetDelta
 }
 
-// patchBenchFixture holds two designers over the same base dataset — one
-// whose churn threshold admits single-item repairs, one that always rebuilds
-// — plus a pool of deltas cycled across iterations.
+// patchBenchFixture holds the designers over one base dataset — one that
+// always rebuilds and, for 2D, one whose churn threshold admits single-item
+// repairs — plus a pool of deltas cycled across iterations.
 type patchBenchFixture struct {
 	repair  *fairrank.Designer
 	rebuild *fairrank.Designer
@@ -64,7 +63,6 @@ func patchFixtureFor(b *testing.B, mode fairrank.Mode) *patchBenchFixture {
 		n, d = 1000, 3
 		cfg = fairrank.Config{Mode: mode, Cells: 100, MaxHyperplanes: 200, Seed: 5}
 	}
-	cfg.RepairChurnFrac = 0.5
 	ds, err := datagen.Biased(n, d, 0.5, 0.3, 1, 17)
 	if err != nil {
 		b.Fatal(err)
@@ -73,18 +71,17 @@ func patchFixtureFor(b *testing.B, mode fairrank.Mode) *patchBenchFixture {
 	if err != nil {
 		b.Fatal(err)
 	}
-	repair, err := fairrank.NewDesigner(ds, oracle, cfg)
-	if err != nil {
+	fx := &patchBenchFixture{}
+	cfg.RepairChurnFrac = -1
+	if fx.rebuild, err = fairrank.NewDesigner(ds, oracle, cfg); err != nil {
 		b.Fatal(err)
 	}
-	cfgRebuild := cfg
-	cfgRebuild.RepairChurnFrac = -1
-	rebuild, err := fairrank.NewDesigner(ds, oracle, cfgRebuild)
-	if err != nil {
-		b.Fatal(err)
+	if mode == fairrank.Mode2D {
+		cfg.RepairChurnFrac = 0.5
+		if fx.repair, err = fairrank.NewDesigner(ds, oracle, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
-
-	fx := &patchBenchFixture{repair: repair, rebuild: rebuild}
 	row := make([]float64, d)
 	for j := range row {
 		row[j] = 0.4 + 0.1*float64(j)
@@ -131,7 +128,5 @@ func benchPatch(b *testing.B, mode fairrank.Mode, wantRepair bool) {
 
 func BenchmarkPatchRepair2D(b *testing.B)      { benchPatch(b, fairrank.Mode2D, true) }
 func BenchmarkPatchRebuild2D(b *testing.B)     { benchPatch(b, fairrank.Mode2D, false) }
-func BenchmarkPatchRepairExact(b *testing.B)   { benchPatch(b, fairrank.ModeExact, true) }
 func BenchmarkPatchRebuildExact(b *testing.B)  { benchPatch(b, fairrank.ModeExact, false) }
-func BenchmarkPatchRepairApprox(b *testing.B)  { benchPatch(b, fairrank.ModeApprox, true) }
 func BenchmarkPatchRebuildApprox(b *testing.B) { benchPatch(b, fairrank.ModeApprox, false) }

@@ -174,18 +174,22 @@ type Config struct {
 	// pass of ModeExact (0 = serial, negative = GOMAXPROCS). Results are
 	// identical for any worker count: in ModeApprox every grid cell seeds
 	// its LP randomness from Seed and its own index, whichever worker
-	// marks it. In Mode2D it sets only the segmented sweep: the pair
-	// enumeration and sort before it always use every CPU, because their
-	// output is identical however the work is split.
+	// marks it, and in ModeExact every region's label is the oracle's
+	// verdict at the region's own witness. In Mode2D it sets only the
+	// segmented sweep (of a build or a repair): the pair enumeration and
+	// sort before it always use every CPU, because their output is
+	// identical however the work is split.
 	Workers int
 	// RefineQueries makes ModeApprox Suggest calls also consider the
 	// functions of axis-adjacent cells (never worse, O(d log N) extra).
 	RefineQueries bool
 	// RepairChurnFrac bounds how large a dataset patch — removals plus
 	// additions, as a fraction of the pre-patch item count — Patch may
-	// splice into the index incrementally; larger deltas rebuild from
+	// splice into a Mode2D index incrementally; larger deltas rebuild from
 	// scratch (repair's savings shrink as churn grows, and a rebuild is
-	// always correct). 0 picks the default of DefaultRepairChurnFrac;
+	// always correct). ModeExact and ModeApprox designers always rebuild:
+	// their builds fit only the kept hyperplanes, so a repair would cost
+	// what a rebuild does. 0 picks the default of DefaultRepairChurnFrac;
 	// negative disables incremental repair entirely.
 	RepairChurnFrac float64
 }

@@ -21,6 +21,8 @@ import (
 // keep passing after it. A deliberate change of answers updates them in the
 // same change and says why.
 const (
+	goldenExactD2Suggest = "1fdafe22b2cc1d0fce91f3d027e7394c2a10db56836b964104afb077a66612bb"
+	goldenExactD2Index   = "22c44cd3bc0d96d7ac179fe236631ab58e17de12abe5568608af453bd4bc9021"
 	goldenExactD3Suggest = "5cc9b3f476e7fce9c27a053be5aad84a8c1685ef58edcb96c1584030f24de1a8"
 	goldenExactD3Index   = "4833f7ab2c4cd1989663ecfcc57c4c42819ad75bff970dda703fe7eeb0e7c735"
 	goldenExactD4Suggest = "9f077cc4a955b853cb6d2db233b3e56a1d9b47fe2793355222bf86a08480fa3a"
@@ -121,14 +123,24 @@ func checkGolden(t *testing.T, name, got, want string) {
 }
 
 func TestGoldenKernelDigests(t *testing.T) {
+	t.Run("exact-d2", func(t *testing.T) {
+		// Uncapped: every exchange is in the arrangement, so each region
+		// holds one ordering and any labeling that agrees with the oracle
+		// there saves these bytes.
+		_, des := goldenDesigner(t, 60, 2, Config{Mode: ModeExact, Seed: 7})
+		queries := goldenQueries(t, des, 2, goldenUnfairQueries)
+		checkGolden(t, "exact d=2 suggest", digestSuggest(t, des, queries), goldenExactD2Suggest)
+		checkGolden(t, "exact d=2 index", digestIndex(t, des), goldenExactD2Index)
+	})
 	t.Run("exact-d3", func(t *testing.T) {
 		ds, des := goldenDesigner(t, 40, 3, Config{Mode: ModeExact, MaxHyperplanes: 16, Seed: 7})
 		queries := goldenQueries(t, des, 3, goldenUnfairQueries)
 		checkGolden(t, "exact d=3 suggest", digestSuggest(t, des, queries), goldenExactD3Suggest)
 		checkGolden(t, "exact d=3 index", digestIndex(t, des), goldenExactD3Index)
 
-		// One exact repair: it re-runs the arrangement's LPs over the
-		// patched hyperplanes and must match a rebuild byte for byte.
+		// One exact patch: only the 2D engine repairs, so Patch rebuilds
+		// over the patched dataset, and the result must match these
+		// digests byte for byte.
 		delta := DatasetDelta{
 			Removed: []int{3, 17},
 			Added:   []PatchItem{{Row: []float64{0.61, 0.42, 0.77}, Types: map[string]string{"group": "protected"}}},
@@ -145,8 +157,8 @@ func TestGoldenKernelDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !repaired {
-			t.Fatal("patch rebuilt; want an incremental repair")
+		if repaired {
+			t.Fatal("patch repaired an exact index; want a rebuild")
 		}
 		checkGolden(t, "patched d=3 index", digestIndex(t, patched), goldenPatchD3Index)
 		checkGolden(t, "patched d=3 suggest", digestSuggest(t, patched, queries), goldenPatchD3Suggest)

@@ -23,8 +23,9 @@ import (
 //	GET  /v1/datasets                     → {"datasets": [ids]}
 //	PATCH /v1/datasets/{id}               {"remove": [indices], "add": [{"row": [...], "types": {...}}]}
 //	                                        → applies the delta, splices every local designer index
-//	                                        (incremental repair below the churn threshold, rebuild
-//	                                        above), replicates the new revision cluster-wide
+//	                                        (incremental repair of 2D designers below the churn
+//	                                        threshold, rebuild otherwise), replicates the new
+//	                                        revision cluster-wide
 //	POST /v1/designers                    {"id": ..., "spec": DesignerSpec}
 //	GET  /v1/designers                    → {"designers": [ids]}
 //	GET  /v1/designers/{id}/status        → service.StatusInfo

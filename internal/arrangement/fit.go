@@ -29,8 +29,7 @@ import (
 //     construction makes afterwards matches.
 //  2. HyperPolar is a deterministic, rng-free function of the two item
 //     value vectors, so fitting a pair after the shuffle gives the same
-//     hyperplane as fitting it before. The same property lets a repair
-//     reuse a previous build's fit for a pair whose items survived a patch.
+//     hyperplane as fitting it before.
 //
 // One behaviour differs from the all-pairs sequence: a pair outside the
 // kept prefix is never fitted, so a HYPERPOLAR failure there cannot fail
@@ -48,7 +47,7 @@ func ExchangePairs(items []geom.Vector) []Pair {
 	n := len(items)
 	// One upfront allocation at the worst-case pair count: the append loop
 	// below would otherwise regrow through ~20 doublings for large n, and the
-	// copying shows up as a measurable fraction of the whole repair.
+	// copying shows up as a measurable fraction of a capped build.
 	pairs := make([]Pair, 0, n*(n-1)/2)
 	for i := 0; i < n-1; i++ {
 		for j := i + 1; j < n; j++ {
@@ -84,15 +83,12 @@ func ShufflePairs(ps []Pair, rng *rand.Rand) {
 }
 
 // FitHyperplanes returns the shuffled, capped hyperplane list over items,
-// fitting only the pairs the cap keeps. reuse, when non-nil, maps a pair of
-// item indices to a hyperplane already fitted for the same two item values
-// in a previous build (a repair remaps old I/J tags through its delta before
-// constructing it); builds pass nil. total is the pre-cap pair count |H|;
+// fitting only the pairs the cap keeps. total is the pre-cap pair count |H|;
 // maxH ≤ 0 means uncapped. The returned slice, the rng state on return, and
 // total are all bit-identical to the all-pairs sequence in the comment
 // above, and the slice's capacity is its length, so an index that keeps it
 // pins nothing beyond the kept hyperplanes.
-func FitHyperplanes(items []geom.Vector, reuse map[Pair]geom.Hyperplane, rng *rand.Rand, maxH int) (hs []geom.Hyperplane, total int, err error) {
+func FitHyperplanes(items []geom.Vector, rng *rand.Rand, maxH int) (hs []geom.Hyperplane, total int, err error) {
 	pairs := ExchangePairs(items)
 	total = len(pairs)
 	ShufflePairs(pairs, rng)
@@ -101,11 +97,6 @@ func FitHyperplanes(items []geom.Vector, reuse map[Pair]geom.Hyperplane, rng *ra
 	}
 	hs = make([]geom.Hyperplane, 0, len(pairs))
 	for _, p := range pairs {
-		if h, ok := reuse[p]; ok {
-			h.I, h.J = p.I, p.J
-			hs = append(hs, h)
-			continue
-		}
 		h, err := HyperPolar(items[p.I], items[p.J])
 		if err != nil {
 			return nil, 0, fmt.Errorf("arrangement: pair (%d,%d): %w", p.I, p.J, err)

@@ -41,7 +41,7 @@ func TestFitHyperplanesMatchesAllPairs(t *testing.T) {
 			want = want[:maxH]
 		}
 		gotRng := rand.New(rand.NewSource(seed))
-		got, total, err := FitHyperplanes(items, nil, gotRng, maxH)
+		got, total, err := FitHyperplanes(items, gotRng, maxH)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,7 @@ import (
 // hyperplane through them. For d = 2 the result is exact (the hyperplane is
 // the single exchange angle); for d > 2 the exchange surface is curved in
 // angle coordinates and the returned hyperplane interpolates it at the
-// sampled points, exactly as in the paper (see DESIGN.md §8).
+// sampled points, exactly as in the paper (§4, Algorithm 3).
 func HyperPolar(ti, tj geom.Vector) (geom.Hyperplane, error) {
 	d := len(ti)
 	if d != len(tj) {

@@ -70,13 +70,6 @@ type Approx struct {
 	MarkStats   MarkStats
 	ColorStats  ColorStats
 	OracleCalls int
-	// Retained build state for incremental repair (see Repair). In-memory
-	// only: loaded indexes report repairable == false (a persisted stream
-	// keeps just the queryable grid), as do PruneTopK builds (the candidate
-	// set is a global property a delta can reshape arbitrarily).
-	buildN     int
-	buildOpts  Options
-	repairable bool
 }
 
 // Preprocess runs the full offline pipeline of §5 over the dataset: build
@@ -85,15 +78,6 @@ type Approx struct {
 // regions, and color the rest. Under a MaxHyperplanes cap only the kept
 // pairs are fitted (arrangement.FitHyperplanes).
 func Preprocess(ds *dataset.Dataset, oracle fairness.Oracle, n int, opt Options) (*Approx, error) {
-	return preprocessWith(ds, oracle, n, opt, nil)
-}
-
-// preprocessWith is Preprocess with a hyperplane reuse map: nil for a
-// build, the surviving pairs of the index being repaired for Repair. Both
-// fit through arrangement.FitHyperplanes, which leaves the rng in the same
-// state either way, so everything downstream — the LP draws of MARKCELL's
-// per-cell arrangements seeded from rng.Int63() — replays identically.
-func preprocessWith(ds *dataset.Dataset, oracle fairness.Oracle, n int, opt Options, reuse map[arrangement.Pair]geom.Hyperplane) (*Approx, error) {
 	if ds.D() < 2 {
 		return nil, fmt.Errorf("cells: need at least 2 scoring attributes, got %d", ds.D())
 	}
@@ -111,7 +95,7 @@ func preprocessWith(ds *dataset.Dataset, oracle fairness.Oracle, n int, opt Opti
 			items = append(items, ds.Item(i))
 		}
 	}
-	hps, _, err := arrangement.FitHyperplanes(items, reuse, rng, opt.MaxHyperplanes)
+	hps, _, err := arrangement.FitHyperplanes(items, rng, opt.MaxHyperplanes)
 	if err != nil {
 		return nil, err
 	}
@@ -149,9 +133,6 @@ func preprocessWith(ds *dataset.Dataset, oracle fairness.Oracle, n int, opt Opti
 	a.Times.Color = time.Since(start)
 
 	a.OracleCalls = int(oracleCalls.Load())
-	a.buildN = n
-	a.buildOpts = opt
-	a.repairable = opt.PruneTopK == 0
 	return a, nil
 }
 

@@ -90,16 +90,10 @@ func (e mdEngine) SuggestBatchSorted(dst []engine.Result, queries []geom.Vector,
 //
 // Probes are drawn as an evenly-strided sample of at most revalidateSample
 // regions (mirroring the grid engine: each probe ranks all n items, so the
-// cap keeps one drift check bounded regardless of |Sat|).
-// A sampled witness is probed only when its verdict holds under a fresh
-// ranking of the BUILD dataset: capped or d > 2 arrangements label regions
-// approximately, and probing a witness the index could never attest would
-// report drift — and trigger a rebuild — forever, even on unchanged data.
-// If no sampled witness is attestable (a fully approximate index), witness
-// probes cannot distinguish unchanged from drifted data; the report then
-// carries zero probes (vacuously healthy), which is honest — "no drift
-// evidence obtainable" — and strictly better than failing every probe and
-// rebuilding an identical index on every check, forever.
+// cap keeps one drift check bounded regardless of |Sat|). Every region is
+// labeled with the oracle's verdict at its own witness, so on unchanged data
+// every probe passes, capped or not; a region an index carries as
+// satisfactory although its witness fails is reported like drift.
 func (idx *MDIndex) Revalidate(ds *dataset.Dataset, oracle fairness.Oracle) (engine.DriftReport, error) {
 	if ds.D() != idx.DS.D() {
 		return engine.DriftReport{}, fmt.Errorf("core: revalidating a d=%d index against a d=%d dataset", idx.DS.D(), ds.D())
@@ -116,21 +110,13 @@ func (idx *MDIndex) Revalidate(ds *dataset.Dataset, oracle fairness.Oracle) (eng
 		stride = (len(idx.Sat) + revalidateSample - 1) / revalidateSample
 	}
 	var report engine.DriftReport
-	buildCounter := &fairness.Counter{O: idx.Oracle}
 	counter := &fairness.Counter{O: oracle}
-	buildNeed, need := fairness.Reads(idx.Oracle), fairness.Reads(oracle)
+	need := fairness.Reads(oracle)
 	var bufs ranking.Buffers
 	w := make(geom.Vector, ds.D())
 	for i := 0; i < len(idx.Sat); i += stride {
 		geom.Angles(idx.Sat[i].Witness).ToCartesianInto(1, w)
-		order, err := bufs.Rank(idx.DS, w, buildNeed)
-		if err != nil {
-			return engine.DriftReport{}, err
-		}
-		if !buildCounter.Check(order) {
-			continue // unattestable: the label was approximate here
-		}
-		order, err = bufs.Rank(ds, w, need)
+		order, err := bufs.Rank(ds, w, need)
 		if err != nil {
 			return engine.DriftReport{}, err
 		}
@@ -141,7 +127,7 @@ func (idx *MDIndex) Revalidate(ds *dataset.Dataset, oracle fairness.Oracle) (eng
 			report.Violations = append(report.Violations, i)
 		}
 	}
-	report.OracleCalls = counter.Calls() + buildCounter.Calls()
+	report.OracleCalls = counter.Calls()
 	return report, nil
 }
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
+	"fairrank/internal/datagen"
 	"fairrank/internal/dataset"
 	"fairrank/internal/fairness"
 )
@@ -26,104 +28,64 @@ func colored2D(t *testing.T, r *rand.Rand, n int) *dataset.Dataset {
 	return ds
 }
 
-// In 2D the angle-space hyperplanes are exact, so adjacency-ordered
-// incremental labeling must reproduce the full-sort labeling region by
-// region, with the same oracle-call count.
-func TestIncrementalLabelingExact2D(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	for iter := 0; iter < 8; iter++ {
-		ds := colored2D(t, r, 8+r.Intn(10))
-		oracle, err := fairness.NewTopK(ds, "color", 3, []fairness.GroupBound{{Group: "blue", Min: -1, Max: 1}})
-		if err != nil {
-			t.Fatal(err)
+// An index saved by an earlier build may carry a region flagged
+// satisfactory whose witness the oracle rejects. Revalidate probes every
+// sampled witness, so on unchanged data it must report exactly that region.
+func TestRevalidateReportsMislabeledRegion(t *testing.T) {
+	// The capped shape of the engine conformance suite's revalidation test.
+	ds, err := datagen.Biased(100, 2, 0.5, 0.25, 1, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := fairness.MinShare(ds, "group", "protected", 0.2, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := SatRegions(ds, oracle, Options{UseTree: true, MaxHyperplanes: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions := idx.Arr.Regions()
+	flipped := -1
+	for i, reg := range regions {
+		if !reg.Satisfactory {
+			flipped = i
+			break
 		}
-		full, err := SatRegions(ds, oracle, Options{UseTree: true, Seed: int64(iter)})
-		if err != nil {
-			t.Fatal(err)
+	}
+	if flipped < 0 {
+		t.Fatal("fixture has no unsatisfactory region")
+	}
+	regions[flipped].Satisfactory = true
+	var buf bytes.Buffer
+	if err := idx.WriteIndex(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadIndex(&buf, ds, oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(loaded.Sat) > revalidateSample {
+		t.Fatalf("|Sat| = %d exceeds the probe sample %d; every witness must be probed", len(loaded.Sat), revalidateSample)
+	}
+	want := -1
+	for i, reg := range loaded.Sat {
+		if reg == loaded.Arr.Regions()[flipped] {
+			want = i
 		}
-		inc, err := SatRegions(ds, oracle, Options{UseTree: true, Seed: int64(iter), IncrementalLabeling: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fr, ir := full.Arr.Regions(), inc.Arr.Regions()
-		if len(fr) != len(ir) {
-			t.Fatalf("iter %d: region counts differ %d vs %d", iter, len(fr), len(ir))
-		}
-		for k := range fr {
-			if fr[k].Satisfactory != ir[k].Satisfactory {
-				t.Fatalf("iter %d: region %d verdict differs: full %v vs incremental %v",
-					iter, k, fr[k].Satisfactory, ir[k].Satisfactory)
-			}
-		}
-		if full.OracleCalls != inc.OracleCalls {
-			t.Errorf("iter %d: oracle calls %d vs %d", iter, full.OracleCalls, inc.OracleCalls)
-		}
-		if len(full.Sat) != len(inc.Sat) {
-			t.Errorf("iter %d: |Sat| %d vs %d", iter, len(full.Sat), len(inc.Sat))
-		}
+	}
+	report, err := loaded.Revalidate(ds, oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Probes != len(loaded.Sat) || len(report.Violations) != 1 || report.Violations[0] != want ||
+		report.StillSatisfactory != report.Probes-1 {
+		t.Fatalf("report %+v, want %d probes and one violation at Sat[%d]", report, len(loaded.Sat), want)
 	}
 }
 
-// PruneTopK composes with incremental labeling (hyperplane pair indices map
-// back to dataset item ids through the candidate list).
-func TestIncrementalLabelingPruned2D(t *testing.T) {
-	r := rand.New(rand.NewSource(47))
-	for iter := 0; iter < 5; iter++ {
-		ds := colored2D(t, r, 16)
-		oracle, err := fairness.NewTopK(ds, "color", 4, []fairness.GroupBound{{Group: "blue", Min: -1, Max: 2}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := SatRegions(ds, oracle, Options{Seed: 5, PruneTopK: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		inc, err := SatRegions(ds, oracle, Options{Seed: 5, PruneTopK: 4, IncrementalLabeling: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fr, ir := full.Arr.Regions(), inc.Arr.Regions()
-		for k := range fr {
-			if fr[k].Satisfactory != ir[k].Satisfactory {
-				t.Fatalf("iter %d: region %d verdict differs under pruning", iter, k)
-			}
-		}
-	}
-}
-
-// For d ≥ 3 the hyperplanes interpolate a curved surface, so incremental
-// labeling follows the arrangement's side semantics rather than exact
-// re-sorts; it must still run, label every region, and agree with full
-// labeling on satisfiability for these instances.
-func TestIncrementalLabeling3DSmoke(t *testing.T) {
-	r := rand.New(rand.NewSource(53))
-	for iter := 0; iter < 4; iter++ {
-		ds := colored3D(t, r, 7)
-		oracle, err := fairness.NewTopK(ds, "color", 3, []fairness.GroupBound{{Group: "blue", Min: -1, Max: 2}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := SatRegions(ds, oracle, Options{UseTree: true, Seed: int64(iter)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		inc, err := SatRegions(ds, oracle, Options{UseTree: true, Seed: int64(iter), IncrementalLabeling: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if inc.OracleCalls != inc.Arr.NumRegions() {
-			t.Errorf("iter %d: oracle calls %d, want one per region (%d)", iter, inc.OracleCalls, inc.Arr.NumRegions())
-		}
-		if full.Satisfiable() != inc.Satisfiable() {
-			t.Errorf("iter %d: satisfiability disagrees: full %v vs incremental %v",
-				iter, full.Satisfiable(), inc.Satisfiable())
-		}
-	}
-}
-
-// Parallel labeling must produce identical labels at every worker count, for
-// both the incremental (component-parallel) and witness (region-parallel)
-// paths.
+// Parallel witness labeling must produce identical labels at every worker
+// count.
 func TestParallelLabelingIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	for iter := 0; iter < 4; iter++ {
@@ -132,37 +94,29 @@ func TestParallelLabelingIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, incremental := range []bool{false, true} {
-			serial, err := SatRegions(ds, oracle, Options{UseTree: true, Seed: int64(iter), IncrementalLabeling: incremental})
+		serial, err := SatRegions(ds, oracle, Options{UseTree: true, Seed: int64(iter)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 3, -1} {
+			par, err := SatRegions(ds, oracle, Options{UseTree: true, Seed: int64(iter), Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{2, 3, -1} {
-				par, err := SatRegions(ds, oracle, Options{
-					UseTree: true, Seed: int64(iter), IncrementalLabeling: incremental, Workers: workers,
-				})
-				if err != nil {
-					t.Fatal(err)
+			sr, pr := serial.Arr.Regions(), par.Arr.Regions()
+			if len(sr) != len(pr) {
+				t.Fatalf("iter %d workers=%d: region counts differ (%d vs %d)", iter, workers, len(sr), len(pr))
+			}
+			for k := range sr {
+				if sr[k].Satisfactory != pr[k].Satisfactory {
+					t.Fatalf("iter %d workers=%d: region %d label differs", iter, workers, k)
 				}
-				sr, pr := serial.Arr.Regions(), par.Arr.Regions()
-				if len(sr) != len(pr) {
-					t.Fatalf("iter %d inc=%v workers=%d: region counts differ (%d vs %d)",
-						iter, incremental, workers, len(sr), len(pr))
-				}
-				for k := range sr {
-					if sr[k].Satisfactory != pr[k].Satisfactory {
-						t.Fatalf("iter %d inc=%v workers=%d: region %d label differs",
-							iter, incremental, workers, k)
-					}
-				}
-				if serial.OracleCalls != par.OracleCalls {
-					t.Errorf("iter %d inc=%v workers=%d: oracle calls %d vs serial %d",
-						iter, incremental, workers, par.OracleCalls, serial.OracleCalls)
-				}
-				if len(serial.Sat) != len(par.Sat) {
-					t.Errorf("iter %d inc=%v workers=%d: |Sat| %d vs serial %d",
-						iter, incremental, workers, len(par.Sat), len(serial.Sat))
-				}
+			}
+			if serial.OracleCalls != par.OracleCalls {
+				t.Errorf("iter %d workers=%d: oracle calls %d vs serial %d", iter, workers, par.OracleCalls, serial.OracleCalls)
+			}
+			if len(serial.Sat) != len(par.Sat) {
+				t.Errorf("iter %d workers=%d: |Sat| %d vs serial %d", iter, workers, len(par.Sat), len(serial.Sat))
 			}
 		}
 	}

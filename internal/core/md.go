@@ -39,20 +39,10 @@ type Options struct {
 	// any top-k (dominated by ≥ k others) — the §8 convex-layers
 	// optimization. Use the oracle's k.
 	PruneTopK int
-	// Workers parallelizes the region-labeling pass across the connected
-	// components of the region adjacency graph (IncrementalLabeling) or
-	// across regions (witness labeling). Labels are identical for any worker
-	// count. 0 or 1 = serial; negative = GOMAXPROCS.
+	// Workers parallelizes the region-labeling pass across regions. Labels
+	// are identical for any worker count. 0 or 1 = serial; negative =
+	// GOMAXPROCS.
 	Workers int
-	// IncrementalLabeling visits regions in adjacency order (a DFS over the
-	// regions' sign vectors, where neighbors differ in exactly one
-	// hyperplane) and drives the oracle's incremental state through single
-	// swaps instead of re-sorting the dataset per region witness. Exact for
-	// d = 2 (angle-space hyperplanes are exact there); for d > 2 the region
-	// orderings follow the arrangement's interpolated hyperplane sides, the
-	// same approximation the arrangement itself makes. Regions unreachable
-	// by single-flip adjacency fall back to a full sort.
-	IncrementalLabeling bool
 }
 
 // MDIndex is the offline product of SatRegions.
@@ -70,12 +60,6 @@ type MDIndex struct {
 	// deterministic across calls and across save/load, and makes Baseline
 	// safe for concurrent use (no shared rand.Rand state).
 	querySeed int64
-	// Retained build state for incremental repair (see Repair). In-memory
-	// only: loaded indexes report repairable == false (a persisted stream
-	// keeps just the queryable arrangement), as do PruneTopK builds (the
-	// candidate set is a global property a delta can reshape arbitrarily).
-	buildOpts  Options
-	repairable bool
 }
 
 // SatRegions is Algorithm 4: build ordering-exchange hyperplanes for the
@@ -88,7 +72,6 @@ func SatRegions(ds *dataset.Dataset, oracle fairness.Oracle, opt Options) (*MDIn
 		return nil, fmt.Errorf("core: need at least 2 scoring attributes, got %d", ds.D())
 	}
 	items := make([]geom.Vector, 0, ds.N())
-	var itemIDs []int // hyperplane pair index → dataset item index
 	if opt.PruneTopK > 0 {
 		// An item dominated by ≥ k others never reaches rank ≤ k under any
 		// non-negative linear function, so for oracles that inspect only
@@ -96,28 +79,16 @@ func SatRegions(ds *dataset.Dataset, oracle fairness.Oracle, opt Options) (*MDIn
 		// verdict is between two top-k candidates. Building hyperplanes
 		// over candidates only is therefore exact for such oracles; the
 		// oracle itself still ranks the full dataset.
-		cand := ds.TopKCandidates(opt.PruneTopK)
-		for _, i := range cand {
+		for _, i := range ds.TopKCandidates(opt.PruneTopK) {
 			items = append(items, ds.Item(i))
-			itemIDs = append(itemIDs, i)
 		}
 	} else {
 		for i := 0; i < ds.N(); i++ {
 			items = append(items, ds.Item(i))
-			itemIDs = append(itemIDs, i)
 		}
 	}
-	return satRegions(ds, oracle, opt, items, itemIDs, nil)
-}
-
-// satRegions is SatRegions past candidate selection: fit the kept
-// hyperplanes over items, reusing the fits in reuse (nil for a build;
-// Repair passes the surviving pairs of the index it repairs), insert them,
-// and label the regions. Both callers replay the same seeded rng, so a
-// repair's arrangement is byte-identical to a build's.
-func satRegions(ds *dataset.Dataset, oracle fairness.Oracle, opt Options, items []geom.Vector, itemIDs []int, reuse map[arrangement.Pair]geom.Hyperplane) (*MDIndex, error) {
 	rng := rand.New(rand.NewSource(opt.Seed + 1))
-	hs, total, err := arrangement.FitHyperplanes(items, reuse, rng, opt.MaxHyperplanes)
+	hs, total, err := arrangement.FitHyperplanes(items, rng, opt.MaxHyperplanes)
 	if err != nil {
 		return nil, err
 	}
@@ -131,15 +102,9 @@ func satRegions(ds *dataset.Dataset, oracle fairness.Oracle, opt Options, items 
 		DS:              ds,
 		HyperplaneCount: total,
 		querySeed:       opt.Seed + 1,
-		buildOpts:       opt,
-		repairable:      opt.PruneTopK == 0,
 	}
 	counter := &fairness.Counter{O: oracle}
-	if opt.IncrementalLabeling {
-		if err := labelRegionsIncremental(idx, counter, itemIDs, opt.Workers); err != nil {
-			return nil, err
-		}
-	} else if err := labelRegionsByWitness(idx, counter, opt.Workers); err != nil {
+	if err := labelRegionsByWitness(idx, counter, opt.Workers); err != nil {
 		return nil, err
 	}
 	for _, r := range arr.Regions() {

@@ -1,5 +1,5 @@
-// Package datagen generates the synthetic stand-ins for the paper's real
-// datasets (see DESIGN.md §3): a COMPAS-like recidivism dataset and a
+// Package datagen generates the synthetic stand-ins for the real datasets
+// of the paper's experiments (§6): a COMPAS-like recidivism dataset and a
 // DOT-like flight on-time dataset, plus the standard uniform / correlated /
 // anti-correlated workloads of the skyline literature and the toy datasets
 // of the paper's Figures 3 and 7. All generators are deterministic under a

@@ -49,7 +49,7 @@ func buildFixture(t *testing.T, seed int64) fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	md, err := core.SatRegions(ds, oracle, core.Options{UseTree: true, Seed: seed, IncrementalLabeling: true})
+	md, err := core.SatRegions(ds, oracle, core.Options{UseTree: true, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,11 +306,11 @@ func TestConformanceRevalidate(t *testing.T) {
 	}
 }
 
-// A MaxHyperplanes-capped exact index labels regions approximately: some
-// stored witnesses fail a fresh re-check even on unchanged data. Revalidate
-// must still come back healthy there (the witness baseline excludes the
-// unattestable ones) — otherwise the serving drift loop would rebuild such
-// designers forever.
+// A MaxHyperplanes-capped exact index still labels each region with the
+// oracle's verdict at the region's own witness, so on unchanged data every
+// sampled satisfactory witness is probed and passes — otherwise the serving
+// drift loop would rebuild such designers forever — and an always-unfair
+// world fails every probe.
 func TestConformanceRevalidateCappedExact(t *testing.T) {
 	ds, err := datagen.Biased(100, 2, 0.5, 0.25, 1, 42)
 	if err != nil {
@@ -320,7 +320,7 @@ func TestConformanceRevalidateCappedExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	md, err := core.SatRegions(ds, oracle, core.Options{UseTree: true, MaxHyperplanes: 300, IncrementalLabeling: true})
+	md, err := core.SatRegions(ds, oracle, core.Options{UseTree: true, MaxHyperplanes: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,22 +328,24 @@ func TestConformanceRevalidateCappedExact(t *testing.T) {
 	if !e.Satisfiable() {
 		t.Skip("unsatisfiable instance")
 	}
+	probes := len(md.Sat)
+	if probes > 512 {
+		t.Fatalf("|Sat| = %d; the fixture must keep every witness in Revalidate's 512-probe sample", probes)
+	}
 	report, err := e.Revalidate(ds, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !report.Healthy() || report.Probes == 0 {
-		t.Fatalf("capped index on unchanged data must revalidate healthy with probes: %+v", report)
+	if !report.Healthy() || report.Probes != probes || report.StillSatisfactory != probes {
+		t.Fatalf("capped index on unchanged data: %+v, want all %d satisfactory witnesses probed and passing", report, probes)
 	}
-	// And drift must still be detectable through the baseline-filtered
-	// probes: an always-unfair world fails every one of them.
 	never := fairness.Func(func([]int) bool { return false })
 	report, err = e.Revalidate(ds, never)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Healthy() || report.StillSatisfactory != 0 {
-		t.Fatalf("capped index must still detect drift: %+v", report)
+	if report.Healthy() || report.StillSatisfactory != 0 || report.Probes != probes || len(report.Violations) != probes {
+		t.Fatalf("capped index must fail every probe in an always-unfair world: %+v", report)
 	}
 }
 
@@ -361,7 +363,7 @@ func TestConformanceRevalidateUnsatisfiable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	md, err := core.SatRegions(ds, never, core.Options{UseTree: true, IncrementalLabeling: true})
+	md, err := core.SatRegions(ds, never, core.Options{UseTree: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,15 +446,19 @@ func TestConformancePersistRoundTrip(t *testing.T) {
 	}
 }
 
-// Patchable conformance: every engine adapter implements engine.Patchable,
-// and Repair must be observationally identical to a from-scratch build over
-// the patched dataset with the same options — Satisfiable, QualityBound,
-// and Suggest all bit for bit. (The grid engine's mark phase is serial in
-// this fixture; byte-equality of a repair is only defined for Workers <= 1,
-// same as for two independent rebuilds.)
+// Patchable conformance: only the 2D adapter implements engine.Patchable —
+// the exact and grid builds fit only the hyperplanes a MaxHyperplanes cap
+// keeps, so a repair of theirs would cost what a rebuild does — and its
+// Repair must be observationally identical to a from-scratch build over the
+// patched dataset with the same options: Satisfiable, QualityBound, and
+// Suggest all bit for bit, with the receiver's answers undisturbed.
 func TestConformancePatchableRepairMatchesRebuild(t *testing.T) {
-	const seed = 17
-	fx := buildFixture(t, seed)
+	fx := buildFixture(t, 17)
+	for _, name := range []string{"exact", "approx"} {
+		if _, ok := fx.engines[name].(engine.Patchable); ok {
+			t.Fatalf("engine %s implements engine.Patchable; only 2d repairs", name)
+		}
+	}
 	delta := dataset.Delta{
 		Removed: []int{3, 41},
 		Added: []dataset.AddItem{
@@ -468,90 +474,69 @@ func TestConformancePatchableRepairMatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ed := engine.Delta{Removed: delta.Removed, Added: len(delta.Added)}
-
 	sweep, err := twod.RaySweep(patched, oracle, twod.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	md, err := core.SatRegions(patched, oracle, core.Options{UseTree: true, Seed: seed, IncrementalLabeling: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx, err := cells.Preprocess(patched, oracle, 500, cells.Options{Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := map[string]engine.Engine{
-		"2d":     twod.NewEngine(sweep),
-		"exact":  core.NewEngine(md),
-		"approx": cells.NewEngine(approx, false),
-	}
+	want := twod.NewEngine(sweep)
 
+	e := fx.engines["2d"]
 	queries := queryFan(25, 1.5)
-	// Snapshot the receivers' pre-repair answers: Repair must not disturb
+	// Snapshot the receiver's pre-repair answers: Repair must not disturb
 	// the serving index it derives from.
 	type snap struct {
 		w    geom.Vector
 		dist float64
 		err  bool
 	}
-	before := map[string][]snap{}
-	for name, e := range fx.engines {
-		for _, q := range queries {
-			w, dist, err := e.Suggest(q)
-			before[name] = append(before[name], snap{w, dist, err != nil})
+	var before []snap
+	for _, q := range queries {
+		w, dist, err := e.Suggest(q)
+		before = append(before, snap{w, dist, err != nil})
+	}
+	p, ok := e.(engine.Patchable)
+	if !ok {
+		t.Fatal("engine 2d does not implement engine.Patchable")
+	}
+	repaired, err := p.Repair(patched, oracle, engine.Delta{Removed: delta.Removed, Added: len(delta.Added)})
+	if err != nil {
+		t.Fatalf("engine 2d repair: %v", err)
+	}
+	if repaired.Satisfiable() != want.Satisfiable() {
+		t.Fatalf("repaired satisfiable=%v, rebuild says %v", repaired.Satisfiable(), want.Satisfiable())
+	}
+	if math.Float64bits(repaired.QualityBound()) != math.Float64bits(want.QualityBound()) {
+		t.Fatalf("repaired bound %v, rebuild %v", repaired.QualityBound(), want.QualityBound())
+	}
+	for _, q := range queries {
+		w1, d1, err1 := repaired.Suggest(q)
+		w2, d2, err2 := want.Suggest(q)
+		if (err1 != nil) != (err2 != nil) || math.Float64bits(d1) != math.Float64bits(d2) {
+			t.Fatalf("q %v: repaired (%v,%v,%v) vs rebuild (%v,%v,%v)", q, w1, d1, err1, w2, d2, err2)
+		}
+		for j := range w2 {
+			if math.Float64bits(w1[j]) != math.Float64bits(w2[j]) {
+				t.Fatalf("q %v: repaired weights %v, rebuild %v (must be byte-identical)", q, w1, w2)
+			}
 		}
 	}
-
-	for name, e := range fx.engines {
-		p, ok := e.(engine.Patchable)
-		if !ok {
-			t.Fatalf("engine %s does not implement engine.Patchable", name)
+	for i, q := range queries {
+		w, dist, err := e.Suggest(q)
+		s := before[i]
+		if (err != nil) != s.err || math.Float64bits(dist) != math.Float64bits(s.dist) {
+			t.Fatalf("Repair disturbed the receiver at %v", q)
 		}
-		repaired, err := p.Repair(patched, oracle, ed)
-		if err != nil {
-			t.Fatalf("engine %s repair: %v", name, err)
-		}
-		want := fresh[name]
-		if repaired.Satisfiable() != want.Satisfiable() {
-			t.Fatalf("engine %s: repaired satisfiable=%v, rebuild says %v", name, repaired.Satisfiable(), want.Satisfiable())
-		}
-		if math.Float64bits(repaired.QualityBound()) != math.Float64bits(want.QualityBound()) {
-			t.Fatalf("engine %s: repaired bound %v, rebuild %v", name, repaired.QualityBound(), want.QualityBound())
-		}
-		for _, q := range queries {
-			w1, d1, err1 := repaired.Suggest(q)
-			w2, d2, err2 := want.Suggest(q)
-			if (err1 != nil) != (err2 != nil) || math.Float64bits(d1) != math.Float64bits(d2) {
-				t.Fatalf("engine %s q %v: repaired (%v,%v,%v) vs rebuild (%v,%v,%v)", name, q, w1, d1, err1, w2, d2, err2)
-			}
-			for j := range w2 {
-				if math.Float64bits(w1[j]) != math.Float64bits(w2[j]) {
-					t.Fatalf("engine %s q %v: repaired weights %v, rebuild %v (must be byte-identical)", name, q, w1, w2)
-				}
-			}
-		}
-		// Receiver untouched: same answers as before the repair.
-		for i, q := range queries {
-			w, dist, err := e.Suggest(q)
-			s := before[name][i]
-			if (err != nil) != s.err || math.Float64bits(dist) != math.Float64bits(s.dist) {
-				t.Fatalf("engine %s: Repair disturbed the receiver at %v", name, q)
-			}
-			for j := range s.w {
-				if math.Float64bits(w[j]) != math.Float64bits(s.w[j]) {
-					t.Fatalf("engine %s: Repair disturbed the receiver's weights at %v", name, q)
-				}
+		for j := range s.w {
+			if math.Float64bits(w[j]) != math.Float64bits(s.w[j]) {
+				t.Fatalf("Repair disturbed the receiver's weights at %v", q)
 			}
 		}
 	}
 }
 
-// Engines without retained build state must refuse to repair with
-// ErrRepairUnsupported — a decoded persisted stream for every engine, and a
-// PruneTopK-built grid index (pruning re-derives its candidate set from the
-// whole dataset, which no delta can patch).
+// A decoded persisted stream keeps no build state: the 2D engine loaded
+// from one must refuse to repair with ErrRepairUnsupported, and the exact
+// and grid engines loaded from one do not implement engine.Patchable.
 func TestConformancePatchableUnsupportedStates(t *testing.T) {
 	fx := buildFixture(t, 17)
 	delta := engine.Delta{Removed: []int{0}}
@@ -590,20 +575,18 @@ func TestConformancePatchableUnsupportedStates(t *testing.T) {
 			loaded = cells.NewEngine(idx, false)
 		}
 		p, ok := loaded.(engine.Patchable)
+		if name != "2d" {
+			if ok {
+				t.Fatalf("decoded engine %s implements engine.Patchable; only 2d repairs", name)
+			}
+			continue
+		}
 		if !ok {
-			t.Fatalf("decoded engine %s lost the Patchable interface", name)
+			t.Fatal("decoded engine 2d lost the Patchable interface")
 		}
 		if _, err := p.Repair(patched, oracle, delta); !errors.Is(err, engine.ErrRepairUnsupported) {
-			t.Fatalf("decoded engine %s: Repair err %v, want ErrRepairUnsupported", name, err)
+			t.Fatalf("decoded engine 2d: Repair err %v, want ErrRepairUnsupported", err)
 		}
-	}
-	pruned, err := cells.Preprocess(fx.ds, fx.oracle, 200, cells.Options{Seed: 17, PruneTopK: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := cells.NewEngine(pruned, false).(engine.Patchable)
-	if _, err := p.Repair(patched, oracle, delta); !errors.Is(err, engine.ErrRepairUnsupported) {
-		t.Fatalf("PruneTopK grid index: Repair err %v, want ErrRepairUnsupported", err)
 	}
 }
 

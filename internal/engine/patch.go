@@ -72,8 +72,11 @@ func (d Delta) Remap(oldN int) []int {
 }
 
 // Patchable is the optional engine extension for incremental index repair.
-// Engines built in-process retain enough of their offline state to splice a
-// small dataset delta into the index instead of rebuilding it from scratch.
+// Only the 2D engine implements it: a 2D index built in-process retains its
+// sorted exchange list and splices a small dataset delta into it instead of
+// re-enumerating and re-sorting every pair. The exact and grid engines do
+// not: their builds fit only the hyperplanes a MaxHyperplanes cap keeps, so
+// a repair would cost what a rebuild does.
 type Patchable interface {
 	// Repair returns a new engine over the patched dataset and oracle whose
 	// answers are byte-identical to a from-scratch rebuild with the same

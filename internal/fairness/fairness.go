@@ -348,11 +348,11 @@ func (c *Counter) Check(order []int) bool {
 	return c.O.Check(order)
 }
 
-// Calls returns the number of Check (and incremental Valid) evaluations so
-// far.
+// Calls returns the number of Check calls so far, plus the probes Add
+// reported.
 func (c *Counter) Calls() int { return int(c.calls.Load()) }
 
-// Add bumps the call count by n without evaluating the oracle — used by
-// incremental states that answer a probe in O(1) but still represent one
-// logical oracle call.
+// Add bumps the call count by n without evaluating the oracle — used by the
+// incremental 2D sweep, whose probes are answered in O(1) by the oracle's
+// incremental state but each still represent one logical oracle call.
 func (c *Counter) Add(n int) { c.calls.Add(int64(n)) }

@@ -3,11 +3,10 @@ package fairness
 import "math"
 
 // Incremental is the stateful counterpart of Oracle for sweep-style
-// algorithms: between two consecutive sectors of the 2D ray sweep (or two
-// adjacent arrangement regions) the ordering changes by a single swap, so a
-// verdict can be maintained in O(1) amortized instead of re-reading a top-k
-// prefix on every probe — this is what removes the O_n factor from the
-// offline phase.
+// algorithms: between two consecutive sectors of the 2D ray sweep the
+// ordering changes by a single swap, so a verdict can be maintained in O(1)
+// amortized instead of re-reading a top-k prefix on every probe — this is
+// what removes the O_n factor from the offline phase.
 //
 // Protocol: Begin captures the ordering slice (by reference — the caller
 // mutates it in place); Swap is called after the caller has exchanged the
@@ -279,22 +278,3 @@ type notInc struct{ inner Incremental }
 func (n *notInc) Begin(order []int) { n.inner.Begin(order) }
 func (n *notInc) Swap(a, b int)     { n.inner.Swap(a, b) }
 func (n *notInc) Valid() bool       { return !n.inner.Valid() }
-
-// Incremental implements IncrementalProvider: the wrapped state counts every
-// Valid probe as one logical oracle call, keeping OracleCalls comparable
-// between the incremental and full-Check paths.
-func (c *Counter) Incremental() Incremental {
-	return &counterInc{c: c, inner: NewIncremental(c.O)}
-}
-
-type counterInc struct {
-	c     *Counter
-	inner Incremental
-}
-
-func (ci *counterInc) Begin(order []int) { ci.inner.Begin(order) }
-func (ci *counterInc) Swap(a, b int)     { ci.inner.Swap(a, b) }
-func (ci *counterInc) Valid() bool {
-	ci.c.Add(1)
-	return ci.inner.Valid()
-}

@@ -178,24 +178,6 @@ func TestIncrementalFallback(t *testing.T) {
 	}
 }
 
-// The Counter's incremental state must count one logical oracle call per
-// Valid probe, so OracleCalls stays comparable across engines.
-func TestIncrementalCounterCounts(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	ds := randGrouped(t, r, 20, 2)
-	topk, _ := NewTopK(ds, "g", 5, []GroupBound{{Group: "a", Min: -1, Max: 3}})
-	c := &Counter{O: topk}
-	inc := NewIncremental(c)
-	order := r.Perm(20)
-	inc.Begin(order)
-	for i := 0; i < 13; i++ {
-		inc.Valid()
-	}
-	if c.Calls() != 13 {
-		t.Errorf("Calls = %d, want 13", c.Calls())
-	}
-}
-
 func TestCounterConcurrentSafe(t *testing.T) {
 	c := &Counter{O: Func(func([]int) bool { return true })}
 	done := make(chan struct{})

@@ -20,23 +20,6 @@ func TestSwapReturnsPositions(t *testing.T) {
 	}
 }
 
-func TestMutableOrderReset(t *testing.T) {
-	m := NewMutableOrder([]int{0, 1, 2, 3})
-	m.Swap(0, 3)
-	src := []int{3, 2, 1, 0}
-	m.Reset(src)
-	for i, want := range src {
-		if m.Order()[i] != want || m.Rank(want) != i {
-			t.Fatalf("after Reset: order=%v", m.Order())
-		}
-	}
-	// Reset copies: mutating the source must not leak into the order.
-	src[0] = 99
-	if m.Order()[0] != 3 {
-		t.Error("Reset aliased the source slice")
-	}
-}
-
 // Buffers.Order must agree with the allocating Order for random datasets and
 // weights, and reuse its backing storage across calls.
 func TestBuffersOrderAgrees(t *testing.T) {

@@ -145,21 +145,6 @@ func (m *MutableOrder) Swap(a, b int) (posA, posB int) {
 	return ra, rb
 }
 
-// Reset re-seeds the mutable order from a permutation, reusing the existing
-// buffers (the arrangement labeler calls this once per adjacency-graph
-// component re-seed).
-func (m *MutableOrder) Reset(order []int) {
-	if len(order) != len(m.order) {
-		m.order = append([]int(nil), order...)
-		m.pos = make([]int, len(order))
-	} else {
-		copy(m.order, order)
-	}
-	for r, it := range m.order {
-		m.pos[it] = r
-	}
-}
-
 // Order returns the current ordering (shared slice; treat as read-only).
 func (m *MutableOrder) Order() []int { return m.order }
 

@@ -38,9 +38,6 @@ func buildEngine(mode Mode, ds *Dataset, oracle Oracle, cfg Config) (engine.Engi
 			Seed:           cfg.Seed,
 			PruneTopK:      cfg.PruneTopK,
 			Workers:        cfg.Workers,
-			// Adjacency-ordered incremental labeling is exact in 2D, where
-			// angle-space hyperplanes coincide with the exchange angles.
-			IncrementalLabeling: ds.D() == 2,
 		})
 		if err != nil {
 			return nil, err

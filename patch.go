@@ -19,7 +19,7 @@ type PatchItem = dataset.AddItem
 
 // DefaultRepairChurnFrac is the repair-vs-rebuild threshold Patch uses when
 // Config.RepairChurnFrac is zero: deltas touching at most this fraction of
-// the pre-patch items are spliced into the index incrementally.
+// the pre-patch items are spliced into a Mode2D index incrementally.
 const DefaultRepairChurnFrac = 0.10
 
 // ApplyDelta builds the patched dataset: the survivors of ds in their
@@ -57,14 +57,15 @@ func (d *Designer) RestoreConfig(cfg Config) { d.cfg = cfg }
 
 // Patch derives a designer for the patched dataset. ds must be the result of
 // ApplyDelta(d's dataset, delta), and oracle must be rebuilt over ds (oracles
-// bind group counts and top-k depths to their dataset). When the delta is
-// small — at most Config.RepairChurnFrac of the pre-patch items — and the
-// engine retains its build state, the index is repaired incrementally
-// (engine.Patchable); otherwise it is rebuilt with the designer's original
-// configuration. Either way the result answers byte-identically to a
-// from-scratch NewDesigner over ds, and its Revision chains the receiver's.
-// The receiver is untouched and keeps serving; repaired reports which path
-// was taken.
+// bind group counts and top-k depths to their dataset). Only the 2D engine
+// repairs (engine.Patchable): when the delta is small — at most
+// Config.RepairChurnFrac of the pre-patch items — and a Mode2D index retains
+// its build state, it is repaired incrementally. Every other patch, and
+// every patch of a ModeExact or ModeApprox designer, rebuilds with the
+// designer's original configuration. Either way the result answers
+// byte-identically to a from-scratch NewDesigner over ds, and its Revision
+// chains the receiver's. The receiver is untouched and keeps serving;
+// repaired reports which path was taken.
 func (d *Designer) Patch(ds *Dataset, oracle Oracle, delta DatasetDelta) (next *Designer, repaired bool, err error) {
 	if ds == nil || oracle == nil {
 		return nil, false, errors.New("fairrank: nil dataset or oracle")

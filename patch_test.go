@@ -209,15 +209,16 @@ func shrinkPatchDelta(t *testing.T, d *Designer, cur *Dataset, cfg Config, delta
 // TestPatchEquivalentToRebuildAllEngines is the correctness anchor of the
 // mutability work: seeded random insert/delete sequences, every intermediate
 // revision compared bit-for-bit against a fresh rebuild, for all three
-// engines. The churn threshold is opened up so the sequences exercise the
-// incremental repair path (asserted to actually run), and the approx config
-// keeps the default serial marking — parallel MARKCELL is nondeterministic
-// even across two rebuilds, so byte-equality is only defined for Workers<=1.
+// engines. The churn threshold is opened up so the 2D sequences exercise the
+// incremental repair path (asserted to actually run); the exact and approx
+// designers must take the rebuild path on every step, since only the 2D
+// engine repairs.
 func TestPatchEquivalentToRebuildAllEngines(t *testing.T) {
 	cases := []struct {
-		name string
-		ds   func(t *testing.T) *Dataset
-		cfg  Config
+		name    string
+		ds      func(t *testing.T) *Dataset
+		cfg     Config
+		repairs bool // whether Patch should repair (else rebuild) every step
 	}{
 		{
 			name: "2d",
@@ -228,7 +229,8 @@ func TestPatchEquivalentToRebuildAllEngines(t *testing.T) {
 				}
 				return ds
 			},
-			cfg: Config{Mode: Mode2D, RepairChurnFrac: 0.5},
+			cfg:     Config{Mode: Mode2D, RepairChurnFrac: 0.5},
+			repairs: true,
 		},
 		{
 			name: "exact",
@@ -241,8 +243,8 @@ func TestPatchEquivalentToRebuildAllEngines(t *testing.T) {
 			},
 			// d=2 with a binding hyperplane cap: an uncapped 3-D arrangement
 			// makes each of the suite's from-scratch reference builds cost
-			// minutes under -race; the capped 2-D instance exercises the same
-			// repair path (including cap-miss refits) in seconds.
+			// minutes under -race; the capped 2-D instance rebuilds in
+			// milliseconds.
 			cfg: Config{Mode: ModeExact, Seed: 7, MaxHyperplanes: 120, RepairChurnFrac: 0.5},
 		},
 		{
@@ -266,8 +268,8 @@ func TestPatchEquivalentToRebuildAllEngines(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				repairs := 0
-				for step := 0; step < 4; step++ {
+				repairs, steps := 0, 4
+				for step := 0; step < steps; step++ {
 					delta := randomPatchDelta(cur, rng, 3, 3)
 					next, newDS, repaired, checkErr := patchStepCheck(t, d, cur, tc.cfg, delta)
 					if checkErr != nil {
@@ -280,9 +282,12 @@ func TestPatchEquivalentToRebuildAllEngines(t *testing.T) {
 					}
 					d, cur = next, newDS
 				}
-				if repairs == 0 {
-					t.Fatalf("engine %s seed %d: no step took the incremental repair path (churn frac 0.5, deltas <=6 of %d items)",
-						tc.name, seed, tc.ds(t).N())
+				if tc.repairs && repairs != steps {
+					t.Fatalf("engine %s seed %d: %d of %d steps took the incremental repair path, want all (churn frac 0.5, deltas <=6 of %d items)",
+						tc.name, seed, repairs, steps, tc.ds(t).N())
+				}
+				if !tc.repairs && repairs != 0 {
+					t.Fatalf("engine %s seed %d: %d of %d steps repaired; only the 2D engine repairs", tc.name, seed, repairs, steps)
 				}
 			}
 		})

@@ -11,9 +11,9 @@ import (
 
 // Server-side dataset mutability (PATCH /v1/datasets/{id}): PatchDataset
 // applies a DatasetDelta to a registered dataset and splices the change into
-// every designer index this node serves over it — incrementally
-// (Designer.Patch → engine repair) when the churn is below the designer's
-// threshold, by rebuild otherwise — while queries keep answering from the old
+// every designer index this node serves over it — incrementally for a 2D
+// designer whose churn is below its threshold (Designer.Patch → engine
+// repair), by rebuild otherwise — while queries keep answering from the old
 // index until the atomic swap. The patched dataset's spec (revision included)
 // then replicates through the normal metadata channels; peers converge by
 // running the same splice against their own copies when they materialize it,

@@ -161,8 +161,9 @@ type ConfigSpec struct {
 	RefineQueries          bool   `json:"refine_queries,omitempty"`
 	// RepairChurnFrac bounds how large a dataset patch (removals plus
 	// additions, as a fraction of the pre-patch item count) may be spliced
-	// into this designer's index incrementally; larger deltas rebuild. 0
-	// picks DefaultRepairChurnFrac, negative disables incremental repair.
+	// into a "2d" designer's index incrementally; larger deltas rebuild, and
+	// "exact" and "approx" designers always rebuild. 0 picks
+	// DefaultRepairChurnFrac, negative disables incremental repair.
 	RepairChurnFrac float64 `json:"repair_churn_frac,omitempty"`
 }
 
