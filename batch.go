@@ -22,10 +22,10 @@ type BatchResult struct {
 }
 
 // scratchPool recycles per-worker batch arenas (ranking buffers, polar
-// scratch, resumable-kernel cursors) across SuggestBatch calls, so
-// steady-state batch traffic costs a constant number of allocations per
-// chunk regardless of engine. Scratches are Reset before going back — the
-// cursor must not leak across batches and grown buffers must not pin memory.
+// scratch) across SuggestBatch calls, so steady-state batch traffic costs a
+// constant number of allocations per chunk regardless of engine. Scratches
+// are Reset before going back — a chunk's restricted ranking must not leak
+// across batches and grown buffers must not pin memory.
 var scratchPool = sync.Pool{New: func() any { return new(engine.Scratch) }}
 
 // SuggestBatch answers many design queries in one call. Results line up
@@ -34,14 +34,15 @@ var scratchPool = sync.Pool{New: func() any { return new(engine.Scratch) }}
 //
 // Each batch goes through the adaptive planner (internal/planner) first:
 // bit-identical duplicate queries collapse to one kernel slot whose answer
-// fans back out, the survivors are sorted for angular locality so the
-// resumable kernels (engine.SuggestBatchSorted) reuse their cursors, and the
-// chunk size and worker count come from an EWMA of what recent kernels
-// actually cost — observables only, no statistics tables. Workers claim
-// chunks off a shared queue, so a straggling chunk never idles the rest of
-// the pool. Every planner decision is a permutation plus fan-out over
-// cursor-validated kernels, so answers are byte-identical to the naive
-// per-query loop no matter what the planner picks.
+// fans back out, the survivors are sorted for angular locality so each
+// chunk's restricted ranking (engine.Scratch.RestrictChunk) keeps few items,
+// and the chunk size and worker count come from an EWMA of what recent
+// kernels actually cost — observables only, no statistics tables. Workers
+// claim chunks off a shared queue, so a straggling chunk never idles the
+// rest of the pool. Every planner decision is a permutation plus fan-out
+// over a kernel that answers each query as Suggest would in any order, so
+// answers are byte-identical to the naive per-query loop no matter what the
+// planner picks.
 func (d *Designer) SuggestBatch(queries [][]float64) []BatchResult {
 	return d.SuggestBatchCtx(context.Background(), queries)
 }
@@ -50,8 +51,8 @@ func (d *Designer) SuggestBatch(queries [][]float64) []BatchResult {
 // carries an obs.Recorder (the HTTP serving path), the planner decision and
 // the kernel execution are recorded as "planner" and "kernel" stages, each
 // annotated with what was decided (dedup/sort/chunk shape, worker count,
-// resume hits). A background context degrades to the plain SuggestBatch hot
-// path — one nil check per stage, nothing else.
+// kernel queries). A background context degrades to the plain SuggestBatch
+// hot path — one nil check per stage, nothing else.
 func (d *Designer) SuggestBatchCtx(ctx context.Context, queries [][]float64) []BatchResult {
 	results := make([]BatchResult, len(queries))
 	if len(queries) == 0 {
@@ -74,9 +75,9 @@ func (d *Designer) SuggestBatchCtx(ctx context.Context, queries [][]float64) []B
 
 	start := time.Now()
 	sp = rec.Start("kernel")
-	hits := d.runKernel(raw, kernelQs, &p)
-	sp.EndNote(fmt.Sprintf("queries=%d resume_hits=%d", len(kernelQs), hits))
-	d.plan.Observe(&p, len(kernelQs), float64(time.Since(start).Nanoseconds()), hits)
+	d.runKernel(raw, kernelQs, &p)
+	sp.EndNote(fmt.Sprintf("queries=%d", len(kernelQs)))
+	d.plan.Observe(&p, len(kernelQs), float64(time.Since(start).Nanoseconds()))
 
 	if p.PassThrough() {
 		convertResults(results, raw)
@@ -90,26 +91,18 @@ func (d *Designer) SuggestBatchCtx(ctx context.Context, queries [][]float64) []B
 // plan's execution shape: serial on the caller's goroutine for cheap
 // batches, otherwise p.Workers goroutines claiming contiguous chunks off a
 // shared atomic queue (work stealing at the batch layer — a worker that
-// lands on an expensive chunk simply claims fewer). Sorted plans run the
-// resumable kernel variant; the cursor lives in the worker's scratch and
-// survives across the chunks one worker claims. Returns the resume-hit
-// count drained from the scratches.
-func (d *Designer) runKernel(raw []engine.Result, qs []geom.Vector, p *planner.Plan) int64 {
-	run := d.eng.SuggestBatch
-	if p.Sorted {
-		run = d.eng.SuggestBatchSorted
-	}
+// lands on an expensive chunk simply claims fewer).
+func (d *Designer) runKernel(raw []engine.Result, qs []geom.Vector, p *planner.Plan) {
 	if p.Workers <= 1 {
 		s := scratchPool.Get().(*engine.Scratch)
-		run(raw, qs, s)
-		hits := s.TakeResumeHits()
+		d.eng.SuggestBatch(raw, qs, s)
 		s.Reset()
 		scratchPool.Put(s)
-		return hits
+		return
 	}
 	chunk := p.ChunkSize
 	numChunks := (len(qs) + chunk - 1) / chunk
-	var next, hits atomic.Int64
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < p.Workers; w++ {
 		wg.Add(1)
@@ -126,15 +119,13 @@ func (d *Designer) runKernel(raw []engine.Result, qs []geom.Vector, p *planner.P
 				if hi > len(qs) {
 					hi = len(qs)
 				}
-				run(raw[lo:hi], qs[lo:hi], s)
+				d.eng.SuggestBatch(raw[lo:hi], qs[lo:hi], s)
 			}
-			hits.Add(s.TakeResumeHits())
 			s.Reset()
 			scratchPool.Put(s)
 		}()
 	}
 	wg.Wait()
-	return hits.Load()
 }
 
 // convertResults turns raw kernel results into the public shape 1:1, drawing

@@ -1,6 +1,6 @@
 // Planner correctness property: SuggestBatch now runs through the adaptive
-// batch planner — duplicate collapsing, locality sorting, resumable kernels,
-// EWMA-driven chunking — and every one of those transformations must be
+// batch planner — duplicate collapsing, locality sorting, EWMA-driven
+// chunking — and every one of those transformations must be
 // invisible in the answers. These tests drive many batches through each
 // engine (so the EWMAs adapt and the planner switches strategies mid-test)
 // and require every slot to match the naive per-query Suggest loop exactly:
@@ -74,7 +74,7 @@ func buildPlannedModes() (map[string]*fairrank.Designer, error) {
 }
 
 // plannedWorkload builds one batch mixing the shapes the planner reacts to:
-// clustered directions (locality sort + resume), exact duplicates from a
+// clustered directions (locality sort), exact duplicates from a
 // small pool (dedup fan-out), and malformed slots (zero vector, wrong
 // dimension) scattered through the middle.
 func plannedWorkload(r *rand.Rand, d, size int, dupPool [][]float64) [][]float64 {

@@ -144,7 +144,7 @@ func benchSuggestBatch(b *testing.B, mode fairrank.Mode) {
 // clusteredQueries builds size unique queries packed around a few hot
 // directions — the realistic "everyone tweaks the same popular weighting"
 // shape. Unique bit patterns (no dedup win), but angular neighbors: the
-// planner's locality sort plus the resumable kernels is the whole gain.
+// planner's locality sort keeps each d > 2 chunk's restricted ranking small.
 func clusteredQueries(d, size int, seed int64) [][]float64 {
 	r := rand.New(rand.NewSource(seed))
 	centers := []float64{0.15, 0.7, 1.2}

@@ -159,8 +159,10 @@ type Config struct {
 	// MaxHyperplanes caps the number of ordering-exchange hyperplanes
 	// indexed in ModeExact/ModeApprox (0 = all).
 	MaxHyperplanes int
-	// UseArrangementTree enables the Algorithm 5 arrangement tree in
-	// ModeExact (recommended; defaults to true via NewDesigner).
+	// DisableArrangementTree, when set, makes each ModeExact hyperplane
+	// insert scan every region (Algorithm 4's baseline). The zero value
+	// keeps the Algorithm 5 arrangement tree, which inserts by descending
+	// only the regions a hyperplane can cross.
 	DisableArrangementTree bool
 	// CellRegionCap bounds the arrangement work inside one grid cell in
 	// ModeApprox: 0 picks the default of 512 probed regions per cell,
@@ -323,18 +325,16 @@ func (d *Designer) Revalidate(ds *Dataset) (DriftReport, error) {
 
 // BatchPlanStats is a snapshot of the adaptive batch planner behind
 // SuggestBatch: how many batches were planned versus passed through, how
-// many query slots were answered by duplicate fan-out or a resumed kernel
-// cursor, the most recent chunk size, and the two feedback EWMAs the
-// decisions are made from.
+// many query slots were answered by duplicate fan-out, the most recent
+// chunk size, and the two feedback EWMAs the decisions are made from.
 type BatchPlanStats struct {
 	// Batches counts SuggestBatch calls; PlannedBatches those that got a
 	// dedup/sort schedule; SortedBatches those whose schedule was
 	// locality-sorted.
 	Batches, PlannedBatches, SortedBatches int64
 	// Slots counts query slots seen; DedupedSlots those answered by fanning
-	// out a duplicate's answer; ResumeHits the kernel lookups that reused a
-	// validated cursor instead of a from-scratch descent.
-	Slots, DedupedSlots, ResumeHits int64
+	// out a duplicate's answer.
+	Slots, DedupedSlots int64
 	// LastChunkSize is the chunk size of the most recent batch.
 	LastChunkSize int64
 	// KernelNsEWMA and DupRateEWMA are the planner's two observables: the
@@ -345,18 +345,7 @@ type BatchPlanStats struct {
 
 // BatchPlanStats snapshots the batch planner's counters.
 func (d *Designer) BatchPlanStats() BatchPlanStats {
-	st := d.plan.Stats()
-	return BatchPlanStats{
-		Batches:        st.Batches,
-		PlannedBatches: st.PlannedBatches,
-		SortedBatches:  st.SortedBatches,
-		Slots:          st.Slots,
-		DedupedSlots:   st.DedupedSlots,
-		ResumeHits:     st.ResumeHits,
-		LastChunkSize:  st.LastChunkSize,
-		KernelNsEWMA:   st.KernelNsEWMA,
-		DupRateEWMA:    st.DupRateEWMA,
-	}
+	return BatchPlanStats(d.plan.Stats())
 }
 
 // AngularDistance returns the angular distance (radians) between two weight

@@ -257,22 +257,6 @@ func (a *Approx) query(w geom.Vector, refine bool) (geom.Vector, float64, error)
 // choose the allocating or the scratch-buffered implementation. Returns
 // (nil, +Inf) when no considered cell holds a function.
 func (a *Approx) bestStored(q geom.Angles, refine bool, probe geom.Angles, dist func(a, b geom.Angles) (float64, error)) (geom.Angles, float64) {
-	bestF, best, _, _ := a.bestStoredResume(q, refine, probe, dist, nil)
-	return bestF, best
-}
-
-// bestStoredResume is bestStored with a cell cursor: last is the cell the
-// previous query located (nil when none). When q lies strictly inside last's
-// box the partition-tree descent is skipped and last is reused; containment
-// is checked against the cell's own bounds — the exact boundary values
-// Locate compares with — under half-open [Lo, Hi) semantics, so every case
-// where Locate would answer differently (q on an upper bound, at π/2, or
-// Eps-negative) fails the check and falls back to the full descent. The
-// located cell is therefore identical with or without a cursor. Refinement
-// probes always run the full Locate: they step Gamma away from q,
-// deliberately off-cell. Returns bestStored's answer plus the located cell
-// (the next cursor) and whether the cursor carried.
-func (a *Approx) bestStoredResume(q geom.Angles, refine bool, probe geom.Angles, dist func(a, b geom.Angles) (float64, error), last *Cell) (geom.Angles, float64, *Cell, bool) {
 	best := math.Inf(1)
 	var bestF geom.Angles
 	consider := func(c *Cell) {
@@ -283,12 +267,7 @@ func (a *Approx) bestStoredResume(q geom.Angles, refine bool, probe geom.Angles,
 			best, bestF = d, c.F
 		}
 	}
-	located := last
-	resumed := last != nil && cellContains(last, q)
-	if !resumed {
-		located = a.Grid.Locate(q)
-	}
-	consider(located)
+	consider(a.Grid.Locate(q))
 	if refine {
 		copy(probe, q)
 		for k := 0; k < a.DS.D()-1; k++ {
@@ -299,26 +278,7 @@ func (a *Approx) bestStoredResume(q geom.Angles, refine bool, probe geom.Angles,
 			probe[k] = q[k]
 		}
 	}
-	return bestF, best, located, resumed
-}
-
-// cellContains reports that q lies strictly inside c's half-open box: per
-// axis Lo[k] ≤ q[k] < Hi[k]. Inside that region Locate's greatest-bound-≤-t
-// search lands on exactly this cell (the box bounds are the node boundary
-// values); everything else — upper bounds, π/2 in the last range,
-// Eps-tolerated out-of-domain angles — is deliberately reported as outside
-// so the caller re-runs the authoritative descent.
-func cellContains(c *Cell, q geom.Angles) bool {
-	lo, hi := c.Box.Lo, c.Box.Hi
-	if len(q) != len(lo) {
-		return false
-	}
-	for k, t := range q {
-		if !(lo[k] <= t && t < hi[k]) {
-			return false
-		}
-	}
-	return true
+	return bestF, best
 }
 
 // Theorem6Bound returns the additive approximation bound of Theorem 6 for

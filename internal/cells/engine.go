@@ -92,72 +92,6 @@ func (e approxEngine) SuggestBatch(dst []engine.Result, queries []geom.Vector, s
 	}
 }
 
-// cellsCursor is the grid engine's resumable state: the identity of the
-// index it belongs to plus the cell the previous query located. The identity
-// check keeps pooled scratches safe across engine swaps — a cursor from
-// another index generation fails the pointer check and the kernel starts
-// stateless.
-type cellsCursor struct {
-	a    *Approx
-	last *Cell
-}
-
-// SuggestBatchSorted is SuggestBatch with the located cell threaded between
-// consecutive queries: when the planner delivers angular neighbors
-// back-to-back, the next query usually falls in the same grid cell and the
-// partition-tree descent is skipped. Every reuse is guarded by an exact
-// containment check against the cell's own bounds (bestStoredResume), so
-// answers are bit-identical to SuggestBatch for any query order.
-func (e approxEngine) SuggestBatchSorted(dst []engine.Result, queries []geom.Vector, s *engine.Scratch) {
-	a := e.a
-	d := a.DS.D()
-	need := fairness.Reads(a.Oracle)
-	s.RestrictChunk(a.DS, queries, need)
-	cur, _ := s.Resume().(*cellsCursor)
-	if cur == nil || cur.a != a {
-		cur = &cellsCursor{a: a}
-	}
-	arena := make([]float64, d*len(queries))
-	hits := 0
-	for i, q := range queries {
-		if len(q) != d {
-			dst[i] = engine.Result{Err: fmt.Errorf("cells: query dimension %d, want %d", len(q), d)}
-			continue
-		}
-		fair, err := s.CheckFair(a.DS, a.Oracle, q, need)
-		if err != nil {
-			dst[i] = engine.Result{Err: err}
-			continue
-		}
-		out := geom.Vector(arena[d*i : d*(i+1) : d*(i+1)])
-		if fair {
-			copy(out, q)
-			dst[i] = engine.Result{Weights: out}
-			continue
-		}
-		r, qa, err := geom.ToPolarInto(q, s.Angles(d-1))
-		if err != nil {
-			dst[i] = engine.Result{Err: err}
-			continue
-		}
-		bestF, best, located, resumed := a.bestStoredResume(qa, e.refine, s.Probe(d-1), s.AngleDistance, cur.last)
-		cur.last = located
-		if resumed {
-			hits++
-		}
-		if bestF == nil {
-			dst[i] = engine.Result{Err: engine.ErrUnsatisfiable}
-			continue
-		}
-		bestF.ToCartesianInto(r, out)
-		dst[i] = engine.Result{Weights: out, Distance: best}
-	}
-	if hits > 0 {
-		s.AddResumeHits(hits)
-	}
-	s.SetResume(cur)
-}
-
 // revalidateSample caps how many marked cells one Revalidate pass re-probes:
 // a grid holds ~N marked cells, and a fixed-size evenly-strided sample keeps
 // the drift check O(sample · n) instead of O(N · n) while still touching

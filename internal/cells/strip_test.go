@@ -176,7 +176,7 @@ func TestBatchChecksRankFewItemsPerQuery(t *testing.T) {
 		}
 		for lo := 0; lo < len(p.Queries); lo += 32 {
 			chunk := p.Queries[lo:min(lo+32, len(p.Queries))]
-			e.SuggestBatchSorted(make([]engine.Result, len(chunk)), chunk, s)
+			e.SuggestBatch(make([]engine.Result, len(chunk)), chunk, s)
 		}
 	}
 	checks, items := s.Ranked()

@@ -12,8 +12,8 @@ import (
 	"fairrank/internal/ranking"
 )
 
-// revalidateSample caps how many attestable witnesses one Revalidate pass
-// re-probes (see the cells engine's identically-named cap).
+// revalidateSample caps how many satisfactory regions' witnesses one
+// Revalidate pass re-probes (see the cells engine's identically-named cap).
 const revalidateSample = 512
 
 // mdEngine adapts MDIndex to engine.Engine.
@@ -39,8 +39,10 @@ func (e mdEngine) Suggest(w geom.Vector) (geom.Vector, float64, error) {
 // scratch only as far as the oracle reads (fairness.Reads), and only among
 // the items that can reach the oracle's top K in the chunk's box
 // (Scratch.RestrictChunk): the verdict of the probe Baseline makes. Fair
-// answers are carved out of one per-chunk arena. Unfair queries fall through to the per-region NLP solves,
-// whose cost dwarfs their allocations.
+// answers are carved out of one per-chunk arena. Unfair queries fall
+// through to the per-region NLP solves, whose cost dwarfs their
+// allocations; the planner's dedup upstream saves a whole solve per
+// collapsed duplicate.
 func (e mdEngine) SuggestBatch(dst []engine.Result, queries []geom.Vector, s *engine.Scratch) {
 	idx := e.idx
 	d := idx.DS.D()
@@ -70,15 +72,6 @@ func (e mdEngine) SuggestBatch(dst []engine.Result, queries []geom.Vector, s *en
 		}
 		dst[i] = engine.Result{Weights: out, Distance: dist, Err: err}
 	}
-}
-
-// SuggestBatchSorted delegates to the stateless kernel: the exact engine's
-// cost is dominated by per-query NLP solves over the satisfactory regions,
-// which no cursor can shortcut, so there is no locality win to chase. (The
-// planner's dedup still applies upstream — collapsing a duplicate saves a
-// whole solve here.)
-func (e mdEngine) SuggestBatchSorted(dst []engine.Result, queries []geom.Vector, s *engine.Scratch) {
-	e.SuggestBatch(dst, queries, s)
 }
 
 // Revalidate spot-checks satisfactory regions' stored witness functions

@@ -194,7 +194,10 @@ func sameAnswers(t *testing.T, label string, e engine.Engine, queries []geom.Vec
 
 // Every engine's batch kernel must answer bit-identically to its scalar
 // Suggest path — same weights, same distances, same errors, slot by slot —
-// including the slots a chunk's restricted ranking leaves out of its box.
+// for any query order (ascending angles as the planner sorts them,
+// descending, runs of consecutive duplicates), including the slots a
+// chunk's restricted ranking leaves out of its box, with one Scratch shared
+// across every engine and chunk.
 func TestConformanceBatchMatchesScalar(t *testing.T) {
 	fx := buildFixture(t, 17)
 	engines := fx.engines
@@ -203,16 +206,27 @@ func TestConformanceBatchMatchesScalar(t *testing.T) {
 	fan := queryFan(41, 1.5)
 	// A bad query lands in the middle so error slots are exercised.
 	fan[20] = geom.Vector{0, 0}
+	rev := make([]geom.Vector, len(fan))
+	for i, q := range fan {
+		rev[len(fan)-1-i] = q
+	}
+	dupes := make([]geom.Vector, 0, 3*len(fan))
+	for _, q := range fan {
+		dupes = append(dupes, q, q, q)
+	}
 	chunks := map[string][]geom.Vector{
-		"fan":       fan,
-		"malformed": malformedChunk(fan),
+		"ascending":  fan,
+		"descending": rev,
+		"duplicates": dupes,
+		"malformed":  malformedChunk(fan),
 		// One finite query: no box, every check ranks all n items.
 		"one finite": {geom.Vector{math.NaN(), 1}, fan[7], geom.Vector{1, 2, 3}},
 	}
+	s := new(engine.Scratch) // deliberately shared and never reset
 	for name, e := range engines {
 		for cname, queries := range chunks {
 			dst := make([]engine.Result, len(queries))
-			e.SuggestBatch(dst, queries, new(engine.Scratch))
+			e.SuggestBatch(dst, queries, s)
 			sameAnswers(t, "engine "+name+" chunk "+cname, e, queries, dst)
 		}
 	}
@@ -235,47 +249,12 @@ func TestConformanceBatchScratchAcrossDesigners(t *testing.T) {
 			for k, fx := range []fixture{a, b, a} {
 				e := fx.engines[name]
 				dst := make([]engine.Result, len(chunk))
-				if round == 0 {
-					e.SuggestBatchSorted(dst, chunk, s)
-				} else {
-					e.SuggestBatch(dst, chunk, s)
-				}
+				e.SuggestBatch(dst, chunk, s)
 				sameAnswers(t, fmt.Sprintf("engine %s round %d designer %d", name, round, k), e, chunk, dst)
 				if k != 1 {
 					s.Reset()
 				}
 			}
-		}
-	}
-}
-
-// SuggestBatchSorted must answer bit-identically to the scalar path for ANY
-// query order — ascending angles (the cursor-friendly case the planner
-// arranges), descending (every cursor check fails), and duplicate runs — and
-// with one Scratch reused across engines and orders, so a stale cursor from
-// another engine or a differently-ordered chunk must be detected and
-// discarded, never trusted.
-func TestConformanceSortedBatchMatchesScalar(t *testing.T) {
-	fx := buildFixture(t, 17)
-	engines := fx.engines
-	engines["approx-refined"] = cells.NewEngine(fx.approx, true)
-	fan := queryFan(41, 1.5)
-	fan[20] = geom.Vector{0, 0} // error slot mid-run
-	rev := make([]geom.Vector, len(fan))
-	for i, q := range fan {
-		rev[len(fan)-1-i] = q
-	}
-	dupes := make([]geom.Vector, 0, 3*len(fan))
-	for _, q := range fan {
-		dupes = append(dupes, q, q, q) // consecutive duplicates share a cursor
-	}
-	orders := map[string][]geom.Vector{"ascending": fan, "descending": rev, "duplicates": dupes, "malformed": malformedChunk(fan)}
-	s := new(engine.Scratch) // deliberately shared: cursors go stale between runs
-	for name, e := range engines {
-		for oname, queries := range orders {
-			dst := make([]engine.Result, len(queries))
-			e.SuggestBatchSorted(dst, queries, s)
-			sameAnswers(t, "engine "+name+" order "+oname+" (sorted batch)", e, queries, dst)
 		}
 	}
 }

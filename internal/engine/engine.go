@@ -60,22 +60,9 @@ type Engine interface {
 	// reusing the per-worker scratch arena across queries so a chunk costs a
 	// constant number of allocations instead of a few per query. Each slot
 	// holds the same answer (and the same error) Suggest would return for
-	// that query alone.
+	// that query alone, in any query order: the batch planner reorders
+	// queries freely.
 	SuggestBatch(dst []Result, queries []geom.Vector, s *Scratch)
-
-	// SuggestBatchSorted is the resumable variant of SuggestBatch, called by
-	// the batch planner with queries it has arranged for angular locality
-	// (neighboring queries land in the same sector or grid cell). Kernels
-	// with a locality win carry cursor state in the scratch — the 2D engine
-	// resumes its interval search from the previous query's position, the
-	// grid engine re-enters the last-hit cell instead of re-descending the
-	// partition tree — and count reuses via Scratch.AddResumeHits. The sort
-	// is advisory, never load-bearing: every cursor use is guarded by an
-	// exact validity check and falls back to the stateless lookup, so each
-	// slot is byte-identical to SuggestBatch (and to Suggest) for ANY query
-	// order. Engines without a locality advantage (the exact engine's cost
-	// is per-query NLP solves) delegate to SuggestBatch.
-	SuggestBatchSorted(dst []Result, queries []geom.Vector, s *Scratch)
 
 	// Revalidate spot-checks the index's satisfactory witnesses against a
 	// (possibly updated) dataset and oracle — the paper's §1 design loop:
@@ -94,10 +81,10 @@ type Engine interface {
 // on the new data. An index that found no satisfactory function probes the
 // opposite claim instead (RevalidateUnsatisfiable), so Probes is normally
 // never 0 and Healthy does not hold vacuously. The one exception is an
-// index none of whose stored witnesses can be attested even on its own
-// build data (a fully approximate capped arrangement): it reports zero
-// probes, which reads as "no drift evidence obtainable", not "verified
-// healthy".
+// unsatisfiable exact or approx index every direction of whose probe fan is
+// already fair on its own build data: RevalidateUnsatisfiable skips each
+// such direction and reports zero probes, which reads as "no drift evidence
+// obtainable", not "verified healthy".
 type DriftReport struct {
 	// Probes is the number of spot checks performed against the index's
 	// stored verdict.

@@ -24,11 +24,11 @@ const unsatProbes = 16
 // started admitting fair functions.
 //
 // build and buildOracle, when build is non-nil, identify the instance the
-// index was built over, and they play the same role as the exact engine's
-// witness baseline: a direction that is fair under (build, buildOracle)
+// index was built over: a direction that is fair under (build, buildOracle)
 // means the index's unsatisfiable verdict was already wrong there (a capped
 // or coarse search missed a fair region), and probing it would report drift
-// — and rebuild an identical index — forever. Such directions are skipped.
+// — and rebuild an identical index — forever. Such directions are skipped,
+// so a fan that is fair everywhere on the build data yields zero probes.
 // An engine whose unsatisfiable verdict is exact (the 2D sweep) passes a
 // nil build and every direction is probed.
 func RevalidateUnsatisfiable(build *dataset.Dataset, buildOracle fairness.Oracle, ds *dataset.Dataset, oracle fairness.Oracle) (DriftReport, error) {
@@ -64,7 +64,7 @@ func RevalidateUnsatisfiable(build *dataset.Dataset, buildOracle fairness.Oracle
 				return DriftReport{}, err
 			}
 			if baselineCounter.Check(order) {
-				continue // unattestable: the verdict never held here
+				continue // the verdict never held here
 			}
 		}
 		order, err := bufs.Rank(ds, w, need)

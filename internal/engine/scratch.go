@@ -9,8 +9,7 @@ import (
 
 // Scratch is the per-worker arena a SuggestBatch kernel reuses across the
 // queries of a chunk: the chunk's restricted ranking (see RestrictChunk),
-// one polar-angle buffer, two cartesian probe vectors, and the
-// resumable-kernel cursor (see Engine.SuggestBatchSorted). The batch layer
+// one polar-angle buffer and two cartesian probe vectors. The batch layer
 // keeps Scratches in a pool, so steady-state batch traffic allocates only
 // the per-chunk answer arenas. A Scratch must not be shared between
 // concurrent kernels.
@@ -22,39 +21,6 @@ type Scratch struct {
 	// checks and ranked count the fairness checks since the last Reset and
 	// the items they ranked (see Ranked).
 	checks, ranked int64
-
-	// resume is engine-private cursor state a resumable kernel parks between
-	// consecutive queries (the 2D engine's interval cursor, the grid engine's
-	// last-hit cell). Kernels must validate it before trusting it: a pooled
-	// Scratch may carry a cursor from another engine, another index
-	// generation, or a differently-sorted chunk, so every use is guarded by
-	// an exact containment check and falls back to the stateless lookup.
-	resume any
-	// resumeHits counts queries answered through a validated cursor instead
-	// of a from-scratch descent — the planner's resume_hits observable.
-	resumeHits int64
-}
-
-// Resume returns the engine-private cursor parked by a previous resumable
-// kernel invocation (nil when none). Callers type-assert their own state and
-// must treat a foreign or stale value as absent.
-func (s *Scratch) Resume() any { return s.resume }
-
-// SetResume parks engine-private cursor state for the next kernel invocation
-// on this scratch.
-func (s *Scratch) SetResume(v any) { s.resume = v }
-
-// AddResumeHits counts n queries that re-entered the index from a validated
-// cursor instead of a from-scratch descent.
-func (s *Scratch) AddResumeHits(n int) { s.resumeHits += int64(n) }
-
-// TakeResumeHits returns and clears the resume-hit count accumulated since
-// the last call — the batch layer drains it into the planner's counters
-// before the scratch goes back to the pool.
-func (s *Scratch) TakeResumeHits() int64 {
-	n := s.resumeHits
-	s.resumeHits = 0
-	return n
 }
 
 // Retention caps for Reset: a pooled Scratch that served one giant dataset
@@ -67,15 +33,13 @@ const (
 	maxRetainedAngles    = 1 << 10
 )
 
-// Reset prepares a Scratch for the pool: the resumable cursor and the
-// chunk's restricted ranking are dropped (neither may leak across batches,
-// engines, or generations, and a parked list must not pin its dataset) and
-// buffers whose capacity outgrew the retention caps are released so one
-// giant batch does not pin memory for the life of the process. Contents of
-// retained buffers are not cleared — kernels always write before they read.
+// Reset prepares a Scratch for the pool: the chunk's restricted ranking is
+// dropped (it may not leak across batches, engines, or generations, and a
+// parked list must not pin its dataset) and buffers whose capacity outgrew
+// the retention caps are released so one giant batch does not pin memory
+// for the life of the process. Contents of retained buffers are not
+// cleared — kernels always write before they read.
 func (s *Scratch) Reset() {
-	s.resume = nil
-	s.resumeHits = 0
 	s.checks, s.ranked = 0, 0
 	s.rank.Drop()
 	s.rank.Trim(maxRetainedRankItems)

@@ -95,9 +95,8 @@ func TestRestrictChunkBox(t *testing.T) {
 	}
 }
 
-// The exact and approx batch kernels, sorted or not, restrict their chunk:
-// over a chunk of close queries, each fairness check ranks fewer than n
-// items.
+// The exact and approx batch kernels restrict their chunk: over a chunk of
+// close queries, each fairness check ranks fewer than n items.
 func TestBatchKernelsRestrictChunks(t *testing.T) {
 	fx := buildFixture(t, 17)
 	n := int64(fx.ds.N())
@@ -107,18 +106,12 @@ func TestBatchKernelsRestrictChunks(t *testing.T) {
 		chunk[i] = geom.Vector{math.Cos(theta), math.Sin(theta)}
 	}
 	for _, name := range []string{"exact", "approx"} {
-		e := fx.engines[name]
-		kernels := map[string]func([]engine.Result, []geom.Vector, *engine.Scratch){
-			"SuggestBatch": e.SuggestBatch, "SuggestBatchSorted": e.SuggestBatchSorted,
-		}
-		for kname, run := range kernels {
-			s := new(engine.Scratch)
-			run(make([]engine.Result, len(chunk)), chunk, s)
-			checks, items := s.Ranked()
-			if checks != int64(len(chunk)) || items >= checks*n {
-				t.Errorf("%s %s: %d checks ranked %d items; want %d checks of fewer than %d items each",
-					name, kname, checks, items, len(chunk), n)
-			}
+		s := new(engine.Scratch)
+		fx.engines[name].SuggestBatch(make([]engine.Result, len(chunk)), chunk, s)
+		checks, items := s.Ranked()
+		if checks != int64(len(chunk)) || items >= checks*n {
+			t.Errorf("%s: %d checks ranked %d items; want %d checks of fewer than %d items each",
+				name, checks, items, len(chunk), n)
 		}
 	}
 }

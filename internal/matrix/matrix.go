@@ -1,8 +1,9 @@
 // Package matrix implements the small dense linear algebra needed by the
-// fair-ranking geometry: solving linear systems, inversion, rank, and null
-// space bases via Gaussian elimination with partial pivoting. Matrices here
-// are tiny (at most d×d for d ≤ ~8 ranking attributes), so a straightforward
-// O(n³) elimination is both adequate and easy to verify.
+// fair-ranking geometry: solving square linear systems by Gaussian
+// elimination with partial pivoting, and orthonormal null-space bases of a
+// single linear functional. Matrices here are tiny (at most d×d for d ≤ ~8
+// ranking attributes), so a straightforward O(n³) elimination is both
+// adequate and easy to verify.
 package matrix
 
 import (
@@ -28,30 +29,6 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices, which must be equal length.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		panic("matrix: FromRows with no rows")
-	}
-	m := New(len(rows), len(rows[0]))
-	for r, row := range rows {
-		if len(row) != m.Cols {
-			panic(fmt.Sprintf("matrix: ragged row %d: %d vs %d", r, len(row), m.Cols))
-		}
-		copy(m.Data[r*m.Cols:(r+1)*m.Cols], row)
-	}
-	return m
-}
-
-// Identity returns the n×n identity.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (r, c).
 func (m *Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
 
@@ -63,43 +40,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := New(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// MulVec returns m·x.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("matrix: MulVec dimension mismatch %d vs %d", len(x), m.Cols))
-	}
-	y := make([]float64, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		var s float64
-		row := m.Data[r*m.Cols : (r+1)*m.Cols]
-		for c, v := range row {
-			s += v * x[c]
-		}
-		y[r] = s
-	}
-	return y
-}
-
-// Mul returns m·o.
-func (m *Matrix) Mul(o *Matrix) *Matrix {
-	if m.Cols != o.Rows {
-		panic(fmt.Sprintf("matrix: Mul shape mismatch %dx%d · %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
-	}
-	p := New(m.Rows, o.Cols)
-	for r := 0; r < m.Rows; r++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(r, k)
-			if a == 0 {
-				continue
-			}
-			for c := 0; c < o.Cols; c++ {
-				p.Data[r*p.Cols+c] += a * o.At(k, c)
-			}
-		}
-	}
-	return p
 }
 
 // Solve solves m·x = b for square m using Gaussian elimination with partial
@@ -152,63 +92,6 @@ func (m *Matrix) Solve(b []float64) ([]float64, error) {
 		x[r] = s / a.At(r, r)
 	}
 	return x, nil
-}
-
-// Inverse returns m⁻¹ or ErrSingular.
-func (m *Matrix) Inverse() (*Matrix, error) {
-	if m.Rows != m.Cols {
-		return nil, fmt.Errorf("matrix: Inverse requires square matrix, got %dx%d", m.Rows, m.Cols)
-	}
-	n := m.Rows
-	inv := New(n, n)
-	// Solve column by column against the identity. O(n⁴) but n ≤ 8 here.
-	e := make([]float64, n)
-	for c := 0; c < n; c++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[c] = 1
-		col, err := m.Solve(e)
-		if err != nil {
-			return nil, err
-		}
-		for r := 0; r < n; r++ {
-			inv.Set(r, c, col[r])
-		}
-	}
-	return inv, nil
-}
-
-// Rank returns the numerical rank of m with the given tolerance on pivots.
-func (m *Matrix) Rank(tol float64) int {
-	a := m.Clone()
-	rank := 0
-	row := 0
-	for col := 0; col < a.Cols && row < a.Rows; col++ {
-		piv, best := -1, tol
-		for r := row; r < a.Rows; r++ {
-			if v := math.Abs(a.At(r, col)); v > best {
-				piv, best = r, v
-			}
-		}
-		if piv < 0 {
-			continue
-		}
-		a.swapRows(piv, row)
-		inv := 1 / a.At(row, col)
-		for r := row + 1; r < a.Rows; r++ {
-			f := a.At(r, col) * inv
-			if f == 0 {
-				continue
-			}
-			for c := col; c < a.Cols; c++ {
-				a.Set(r, c, a.At(r, c)-f*a.At(row, c))
-			}
-		}
-		rank++
-		row++
-	}
-	return rank
 }
 
 // NullSpaceOfRow returns an orthonormal basis of the null space of the single

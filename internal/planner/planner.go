@@ -10,9 +10,9 @@
 //     millisecond-scale NLP solve.
 //   - Locality order: surviving queries are sorted so angular neighbors are
 //     adjacent (2D: the polar angle; d > 2: sign pattern, then dominant
-//     coordinate, then normalized leading coordinates), which lets the
-//     resumable kernels (engine.Engine.SuggestBatchSorted) re-enter the
-//     index from the previous query's cursor instead of re-descending.
+//     coordinate, then normalized leading coordinates), so each chunk of
+//     the schedule spans a small box and the d > 2 kernels' restricted
+//     ranking (engine.Scratch.RestrictChunk) keeps few items.
 //   - Chunking: the schedule is cut into contiguous chunks sized from the
 //     kernel-cost EWMA and handed out through a shared queue, so slow chunks
 //     don't straggle and nanosecond-cheap batches skip the fan-out entirely.
@@ -22,9 +22,10 @@
 // observed duplicate rate. That is the whole "statistics": greedy decisions
 // from what the last batches actually cost, in the spirit of the
 // greedy-beats-optimal, no-statistics query planning lesson. Every decision
-// is advisory — the schedule is a permutation plus fan-out, and the kernels
-// validate their cursors — so answers are byte-identical to the naive
-// per-query loop regardless of what the planner picks.
+// is advisory — the schedule is a permutation plus fan-out, and every kernel
+// answers each query as Suggest would in any order — so answers are
+// byte-identical to the naive per-query loop regardless of what the planner
+// picks.
 package planner
 
 import (
@@ -42,7 +43,7 @@ import (
 const (
 	// minPlanBatch is the batch size below which planning (hashing, sorting,
 	// permutation bookkeeping) cannot pay for itself; smaller batches pass
-	// through to the stateless kernel on the caller's goroutine.
+	// through to the kernel on the caller's goroutine.
 	minPlanBatch = 16
 	// minSortBatch is the schedule size below which locality sorting is not
 	// attempted at all.
@@ -109,7 +110,6 @@ type State struct {
 	sortedBatches  atomic.Int64
 	slots          atomic.Int64
 	dedupedSlots   atomic.Int64
-	resumeHits     atomic.Int64
 	lastChunk      atomic.Int64
 }
 
@@ -120,7 +120,6 @@ type Stats struct {
 	SortedBatches  int64   // planned batches whose schedule was locality-sorted
 	Slots          int64   // query slots seen
 	DedupedSlots   int64   // slots answered by duplicate fan-out
-	ResumeHits     int64   // kernel cursor reuses reported by resumable kernels
 	LastChunkSize  int64   // chunk size of the most recent planned batch
 	KernelNsEWMA   float64 // smoothed kernel cost per kept query
 	DupRateEWMA    float64 // smoothed duplicate-slot fraction
@@ -134,7 +133,6 @@ func (st *State) Stats() Stats {
 		SortedBatches:  st.sortedBatches.Load(),
 		Slots:          st.slots.Load(),
 		DedupedSlots:   st.dedupedSlots.Load(),
-		ResumeHits:     st.resumeHits.Load(),
 		LastChunkSize:  st.lastChunk.Load(),
 		KernelNsEWMA:   math.Float64frombits(st.ewmaKernelNs.Load()),
 		DupRateEWMA:    math.Float64frombits(st.ewmaDupRate.Load()),
@@ -168,8 +166,8 @@ type Plan struct {
 	// (Workers == 1: everything runs on the caller's goroutine).
 	ChunkSize int
 	Workers   int
-	// Sorted records that the schedule is in locality order (resumable
-	// kernels profit; correctness never depends on it).
+	// Sorted records that the schedule is in locality order (chunk boxes
+	// shrink; correctness never depends on it).
 	Sorted bool
 	// Deduped records that duplicate hashing ran (even if nothing repeated).
 	Deduped bool
@@ -216,10 +214,11 @@ func (st *State) Plan(qs []geom.Vector) Plan {
 		tryDedup = dupRate >= minDupRate && dupRate*kns >= dedupPayNs
 	}
 
-	// Sort when the kernel is expensive enough that saving index descents
-	// can pay for the comparisons. Pass-through batches skip the gather, so
-	// sorting also requires the dedup pass (which builds the permutation
-	// arrays anyway); a kernel worth sorting for dwarfs the hash cost.
+	// Sort when the kernel is expensive enough that smaller chunk boxes
+	// (fewer items ranked per check) can pay for the comparisons.
+	// Pass-through batches skip the gather, so sorting also requires the
+	// dedup pass (which builds the permutation arrays anyway); a kernel
+	// worth sorting for dwarfs the hash cost.
 	sortCost := sortCmpNs * math.Log2(float64(b))
 	trySort := b >= minSortBatch && kns >= sortPayFactor*sortCost
 
@@ -319,17 +318,14 @@ func (st *State) chunked(p Plan, kept int, kns float64) Plan {
 }
 
 // Observe feeds one executed batch back into the planner: the kernel phase's
-// wall time over the kept queries drives the cost EWMA, and the resume-hit
-// count reported by the kernels lands in the counters.
-func (st *State) Observe(p *Plan, kept int, kernelNs float64, resumeHits int64) {
+// wall time over the kept queries drives the cost EWMA, and the plan's
+// duplicate slots land in the counters.
+func (st *State) Observe(p *Plan, kept int, kernelNs float64) {
 	if kept > 0 && kernelNs > 0 {
 		st.observeEWMA(&st.ewmaKernelNs, kernelNs/float64(kept))
 	}
 	if p.dupSlots > 0 {
 		st.dedupedSlots.Add(int64(p.dupSlots))
-	}
-	if resumeHits > 0 {
-		st.resumeHits.Add(resumeHits)
 	}
 }
 
@@ -393,9 +389,9 @@ func rawKey(dst []byte, q geom.Vector) []byte {
 // the polar angle — the 2D index's one axis. Higher dimensions bucket by the
 // coordinate sign pattern, then the dominant coordinate, then the two
 // leading normalized coordinates: a cheap proxy that lands angular neighbors
-// in the same grid-cell neighborhood without paying a full polar conversion
-// per comparison. Ties fall back to the slot index, making the schedule a
-// deterministic function of the batch.
+// in the same chunk without paying a full polar conversion per comparison.
+// Ties fall back to the slot index, making the schedule a deterministic
+// function of the batch.
 func sortReps(reps []int, qs []geom.Vector) {
 	type sk struct {
 		rep    int

@@ -141,7 +141,7 @@ func TestCheapUniqueTrafficSettlesToPassThrough(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		qs := randomQueries(128, r)
 		p := st.Plan(qs)
-		st.Observe(&p, 128, 128*100, 0) // 100ns/query: 2D territory
+		st.Observe(&p, 128, 128*100) // 100ns/query: 2D territory
 	}
 	passes := 0
 	for i := 0; i < 10; i++ {
@@ -150,7 +150,7 @@ func TestCheapUniqueTrafficSettlesToPassThrough(t *testing.T) {
 		if p.PassThrough() {
 			passes++
 		}
-		st.Observe(&p, 128, 128*100, 0)
+		st.Observe(&p, 128, 128*100)
 	}
 	if passes < 8 { // probe batches may plan; most must not
 		t.Fatalf("cheap unique traffic planned too often: %d/10 passes", passes)
@@ -168,7 +168,7 @@ func TestDupProbeNoticesWorkloadShift(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		qs := randomQueries(64, r)
 		p := st.Plan(qs)
-		st.Observe(&p, 64, 64*20_000, 0) // expensive kernel, unique traffic
+		st.Observe(&p, 64, 64*20_000) // expensive kernel, unique traffic
 	}
 	base := randomQueries(4, r)
 	deduped := false
@@ -179,7 +179,7 @@ func TestDupProbeNoticesWorkloadShift(t *testing.T) {
 		}
 		p := st.Plan(qs)
 		deduped = p.Deduped && len(p.Queries) == len(base)
-		st.Observe(&p, len(p.Queries), float64(len(p.Queries))*20_000, 0)
+		st.Observe(&p, len(p.Queries), float64(len(p.Queries))*20_000)
 	}
 	if !deduped {
 		t.Fatalf("probe never re-discovered duplicates within %d batches", 2*dupProbePeriod)
@@ -201,13 +201,13 @@ func TestCheapKernelSkipsDedupDespiteDuplicates(t *testing.T) {
 	if !p.Deduped {
 		t.Fatalf("seed batch should hash, got %+v", p)
 	}
-	st.Observe(&p, len(p.Queries), float64(len(p.Queries))*100, 0)
+	st.Observe(&p, len(p.Queries), float64(len(p.Queries))*100)
 	for i := 0; i < 10; i++ {
 		p := st.Plan(qs)
 		if p.Deduped {
 			t.Fatalf("batch %d: cheap kernel paid for dedup hashing: %+v", i, p)
 		}
-		st.Observe(&p, 128, 128*100, 0)
+		st.Observe(&p, 128, 128*100)
 	}
 }
 

@@ -122,13 +122,11 @@ type MetricsSnapshot struct {
 
 	// Batch-planner observables, filled for engines that expose BatchPlanner
 	// (see SetBatchPlan): the fraction of batch slots answered by duplicate
-	// fan-out, the most recent planned chunk size (a gauge), and the kernel
-	// lookups that resumed from a locality cursor. The two slot totals carry
-	// the dedup rate's numerator and denominator so Merge can recombine the
-	// rate exactly across shards.
+	// fan-out and the most recent planned chunk size (a gauge). The two slot
+	// totals carry the dedup rate's numerator and denominator so Merge can
+	// recombine the rate exactly across shards.
 	BatchDedupRate    float64 `json:"batch_dedup_rate"`
 	PlannedChunkSize  int64   `json:"planned_chunk_size"`
-	ResumeHits        int64   `json:"resume_hits"`
 	BatchPlannerSlots int64   `json:"batch_planner_slots,omitempty"`
 	BatchDedupedSlots int64   `json:"batch_deduped_slots,omitempty"`
 }
@@ -138,7 +136,6 @@ type MetricsSnapshot struct {
 type BatchPlanStats struct {
 	Slots         int64 // batch query slots seen by the planner
 	DedupedSlots  int64 // slots answered by duplicate fan-out
-	ResumeHits    int64 // kernel lookups resumed from a validated cursor
 	LastChunkSize int64 // chunk size of the most recent batch
 }
 
@@ -146,7 +143,6 @@ type BatchPlanStats struct {
 func (s *MetricsSnapshot) SetBatchPlan(p BatchPlanStats) {
 	s.BatchPlannerSlots = p.Slots
 	s.BatchDedupedSlots = p.DedupedSlots
-	s.ResumeHits = p.ResumeHits
 	s.PlannedChunkSize = p.LastChunkSize
 	if p.Slots > 0 {
 		s.BatchDedupRate = float64(p.DedupedSlots) / float64(p.Slots)
@@ -223,7 +219,6 @@ func (s *MetricsSnapshot) Merge(o MetricsSnapshot) {
 	s.CacheMisses += o.CacheMisses
 	s.BatchPlannerSlots += o.BatchPlannerSlots
 	s.BatchDedupedSlots += o.BatchDedupedSlots
-	s.ResumeHits += o.ResumeHits
 	if s.BatchPlannerSlots > 0 {
 		s.BatchDedupRate = float64(s.BatchDedupedSlots) / float64(s.BatchPlannerSlots)
 	}

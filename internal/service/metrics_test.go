@@ -67,15 +67,14 @@ func TestMergeEqualsCombinedTraffic(t *testing.T) {
 		}
 
 		plans := []BatchPlanStats{
-			{Slots: 100, DedupedSlots: 40, ResumeHits: 7, LastChunkSize: 64},
-			{Slots: 50, DedupedSlots: 5, ResumeHits: 1, LastChunkSize: 256},
+			{Slots: 100, DedupedSlots: 40, LastChunkSize: 64},
+			{Slots: 50, DedupedSlots: 5, LastChunkSize: 256},
 			{}, // a shard whose engine exposes no planner
 		}
 		var combinedPlan BatchPlanStats
 		for _, p := range plans {
 			combinedPlan.Slots += p.Slots
 			combinedPlan.DedupedSlots += p.DedupedSlots
-			combinedPlan.ResumeHits += p.ResumeHits
 			if p.LastChunkSize > combinedPlan.LastChunkSize {
 				combinedPlan.LastChunkSize = p.LastChunkSize
 			}
@@ -117,8 +116,7 @@ func TestMergeEqualsCombinedTraffic(t *testing.T) {
 		}
 		if got.BatchPlannerSlots != want.BatchPlannerSlots ||
 			got.BatchDedupedSlots != want.BatchDedupedSlots ||
-			got.BatchDedupRate != want.BatchDedupRate ||
-			got.ResumeHits != want.ResumeHits {
+			got.BatchDedupRate != want.BatchDedupRate {
 			t.Fatalf("round %d: planner fields diverge:\n got %+v\nwant %+v", round, got, want)
 		}
 		if got.PlannedChunkSize != want.PlannedChunkSize {

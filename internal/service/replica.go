@@ -26,17 +26,10 @@ func (r Replica) SuggestCtx(ctx context.Context, w []float64) (*Suggestion, erro
 	return s, err
 }
 
-// SuggestBatchCtx answers a batch straight from the copy: a ContextBatcher
-// engine records its own stages, any other engine's call is the "kernel"
-// stage.
+// SuggestBatchCtx answers a batch straight from the copy; the engine
+// records its own stages on ctx.
 func (r Replica) SuggestBatchCtx(ctx context.Context, ws [][]float64) ([]Result, error) {
-	if cb, ok := r.Engine.(ContextBatcher); ok {
-		return cb.SuggestBatchCtx(ctx, ws), nil
-	}
-	sp := obs.FromContext(ctx).Start("kernel")
-	results := r.Engine.SuggestBatch(ws)
-	sp.End()
-	return results, nil
+	return r.Engine.SuggestBatch(ctx, ws), nil
 }
 
 // ReplicaStore holds the replica copies a node keeps as a follower, keyed by

@@ -42,8 +42,10 @@ type Result struct {
 type Engine interface {
 	// Suggest answers one design query.
 	Suggest(w []float64) (*Suggestion, error)
-	// SuggestBatch answers many queries, amortizing per-call overhead.
-	SuggestBatch(ws [][]float64) []Result
+	// SuggestBatch answers many queries, amortizing per-call overhead. When
+	// ctx carries an obs.Recorder, the engine records its own stages (the
+	// batch planner and the kernel) on it.
+	SuggestBatch(ctx context.Context, ws [][]float64) []Result
 	// ModeName names the underlying engine ("2d", "exact", "approx").
 	ModeName() string
 	// SaveIndex serializes the engine's index for reuse across restarts.
@@ -52,18 +54,10 @@ type Engine interface {
 
 // BatchPlanner is an optional Engine capability: engines whose SuggestBatch
 // runs through the adaptive batch planner report its decisions here, and
-// Entry.Status folds them into the metrics snapshot (batch_dedup_rate,
-// planned_chunk_size, resume_hits on /metrics).
+// Entry.Status folds them into the metrics snapshot (batch_dedup_rate and
+// planned_chunk_size on /metrics).
 type BatchPlanner interface {
 	BatchPlanStats() BatchPlanStats
-}
-
-// ContextBatcher is an optional Engine capability: engines that can record
-// their own trace stages (planner, kernel) take the context so the spans
-// land on the request's obs.Recorder. SuggestBatchCtx must answer
-// identically to SuggestBatch.
-type ContextBatcher interface {
-	SuggestBatchCtx(ctx context.Context, ws [][]float64) []Result
 }
 
 // BuildFunc builds (or rebuilds) an engine — the offline phase. It runs on a
@@ -521,9 +515,8 @@ func (e *Entry) SuggestBatch(ws [][]float64) ([]Result, error) {
 }
 
 // SuggestBatchCtx is SuggestBatch with trace-span recording: the cache
-// consult is the "cache" stage, and the engine call is either delegated to
-// a ContextBatcher engine (which records its own "planner" and "kernel"
-// stages) or wrapped in a "kernel" stage here.
+// consult is the "cache" stage, and the engine records its own stages on
+// ctx.
 func (e *Entry) SuggestBatchCtx(ctx context.Context, ws [][]float64) ([]Result, error) {
 	start := time.Now()
 	rec := obs.FromContext(ctx)
@@ -562,14 +555,7 @@ func (e *Entry) SuggestBatchCtx(ctx context.Context, ws [][]float64) ([]Result, 
 		if err != nil {
 			return nil, err
 		}
-		var sub []Result
-		if cb, ok := eng.(ContextBatcher); ok {
-			sub = cb.SuggestBatchCtx(ctx, misses)
-		} else {
-			sp := rec.Start("kernel")
-			sub = eng.SuggestBatch(misses)
-			sp.End()
-		}
+		sub := eng.SuggestBatch(ctx, misses)
 		if missIdx == nil {
 			copy(results, sub)
 		} else {

@@ -23,7 +23,7 @@ func (f *fakeEngine) Suggest(w []float64) (*Suggestion, error) {
 	return &Suggestion{Weights: []float64{f.tag}, Distance: f.tag}, nil
 }
 
-func (f *fakeEngine) SuggestBatch(ws [][]float64) []Result {
+func (f *fakeEngine) SuggestBatch(_ context.Context, ws [][]float64) []Result {
 	out := make([]Result, len(ws))
 	for i, w := range ws {
 		out[i].Suggestion, out[i].Err = f.Suggest(w)
@@ -247,7 +247,7 @@ func (c *countingEngine) Suggest(w []float64) (*Suggestion, error) {
 
 // SuggestBatch counts per slot, so tests can observe which batch slots the
 // cache consult kept away from the engine kernel.
-func (c *countingEngine) SuggestBatch(ws [][]float64) []Result {
+func (c *countingEngine) SuggestBatch(_ context.Context, ws [][]float64) []Result {
 	out := make([]Result, len(ws))
 	for i, w := range ws {
 		out[i].Suggestion, out[i].Err = c.Suggest(w)

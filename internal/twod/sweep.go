@@ -736,22 +736,14 @@ func (idx *Index) Query(w geom.Vector) (geom.Vector, float64, error) {
 
 // QueryAngle is Query on the polar form: given the query's angle it returns
 // the closest satisfactory angle and the angular distance (0 when theta is
-// already satisfactory). It performs no allocations, which is what the
-// SuggestBatch fast path amortizes per-call overhead down to.
+// already satisfactory). A binary search finds the first interval with
+// End ≥ theta; it and its neighbor below are the only intervals that can be
+// closest. It performs no allocations, which is what the SuggestBatch fast
+// path amortizes per-call overhead down to.
 func (idx *Index) QueryAngle(theta float64) (float64, float64, error) {
 	if !idx.Satisfiable() {
 		return 0, 0, ErrUnsatisfiable
 	}
-	bestTheta, best := idx.answerNear(idx.lowerBound(theta), theta)
-	return bestTheta, best, nil
-}
-
-// lowerBound returns the index of the first interval with End ≥ theta —
-// the one candidate position an angular query needs (its neighbor below is
-// the only other interval that can be closer). The result is a pure function
-// of theta, which is what lets the resumable kernel substitute a validated
-// cursor for the binary search without changing any answer.
-func (idx *Index) lowerBound(theta float64) int {
 	lo, hi := 0, len(idx.intervals)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -761,62 +753,6 @@ func (idx *Index) lowerBound(theta float64) int {
 			hi = mid
 		}
 	}
-	return lo
-}
-
-// queryAngleFrom is QueryAngle with a cursor: cur is the previous query's
-// lower bound, and it substitutes for the binary search exactly when it is
-// already a valid lower bound for theta too (cur == 0 or the interval below
-// it ends before theta) — true whenever consecutive queries arrive in
-// ascending angular order, which is what the batch planner's locality sort
-// arranges. The returned position is identical to lowerBound(theta) either
-// way, so answers never depend on the cursor; resumed reports whether the
-// cursor carried.
-func (idx *Index) queryAngleFrom(theta float64, cur int) (bestTheta, dist float64, next int, resumed bool, err error) {
-	if !idx.Satisfiable() {
-		return 0, 0, 0, false, ErrUnsatisfiable
-	}
-	n := len(idx.intervals)
-	lo := cur
-	resumed = cur >= 0 && cur <= n && (cur == 0 || idx.intervals[cur-1].End < theta)
-	if resumed {
-		// Clustered queries land in or just past the cursor's interval: a
-		// short walk finds the bound; a long jump falls back to binary
-		// search over the remaining suffix (same result, bounded cost).
-		const walkLimit = 8
-		for steps := 0; lo < n && idx.intervals[lo].End < theta; steps++ {
-			if steps == walkLimit {
-				lo += idx.suffixLowerBound(lo, theta)
-				break
-			}
-			lo++
-		}
-	} else {
-		lo = idx.lowerBound(theta)
-	}
-	bestTheta, dist = idx.answerNear(lo, theta)
-	return bestTheta, dist, lo, resumed, nil
-}
-
-// suffixLowerBound is lowerBound restricted to intervals[from:], returning
-// the offset from from.
-func (idx *Index) suffixLowerBound(from int, theta float64) int {
-	lo, hi := 0, len(idx.intervals)-from
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if idx.intervals[from+mid].End < theta {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// answerNear turns a lower-bound position into the query answer: the closest
-// satisfactory angle to theta and its distance (0 when theta itself lies in a
-// satisfactory interval).
-func (idx *Index) answerNear(lo int, theta float64) (float64, float64) {
 	best := math.Inf(1)
 	bestTheta := theta
 	consider := func(iv Interval) {
@@ -843,5 +779,5 @@ func (idx *Index) answerNear(lo int, theta float64) (float64, float64) {
 	if lo > 0 {
 		consider(idx.intervals[lo-1])
 	}
-	return bestTheta, best
+	return bestTheta, best, nil
 }

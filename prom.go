@@ -88,7 +88,6 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 		p.Counter("fairrank_designer_errors_total", "Queries that returned an error.", float64(m.Errors), l...)
 		p.Counter("fairrank_designer_cache_hits_total", "Queries answered from the suggest memo cache.", float64(m.CacheHits), l...)
 		p.Counter("fairrank_designer_cache_misses_total", "Cacheable queries that went to the engine.", float64(m.CacheMisses), l...)
-		p.Counter("fairrank_designer_resume_hits_total", "Kernel lookups resumed from a locality cursor.", float64(m.ResumeHits), l...)
 		p.Counter("fairrank_designer_rebuilds_total", "Index rebuilds since creation.", float64(st.Rebuilds), l...)
 		p.Gauge("fairrank_designer_generation", "Engine swap generation (cache invalidation epoch).", float64(st.Generation), l...)
 		p.Gauge("fairrank_designer_batch_dedup_rate", "Fraction of batch slots answered by duplicate fan-out.", m.BatchDedupRate, l...)

@@ -263,17 +263,10 @@ func (e *designerEngine) Suggest(w []float64) (*service.Suggestion, error) {
 	return &service.Suggestion{Weights: s.Weights, Distance: s.Distance, AlreadyFair: s.AlreadyFair}, nil
 }
 
-func (e *designerEngine) SuggestBatch(ws [][]float64) []service.Result {
-	return toServiceResults(e.d.SuggestBatch(ws))
-}
-
-// SuggestBatchCtx implements the optional service.ContextBatcher capability:
-// the designer records its planner and kernel stages on the request's trace.
-func (e *designerEngine) SuggestBatchCtx(ctx context.Context, ws [][]float64) []service.Result {
-	return toServiceResults(e.d.SuggestBatchCtx(ctx, ws))
-}
-
-func toServiceResults(batch []BatchResult) []service.Result {
+// SuggestBatch records the designer's planner and kernel stages on the
+// request's trace.
+func (e *designerEngine) SuggestBatch(ctx context.Context, ws [][]float64) []service.Result {
+	batch := e.d.SuggestBatchCtx(ctx, ws)
 	out := make([]service.Result, len(batch))
 	for i, r := range batch {
 		if r.Err != nil {
@@ -298,7 +291,6 @@ func (e *designerEngine) BatchPlanStats() service.BatchPlanStats {
 	return service.BatchPlanStats{
 		Slots:         st.Slots,
 		DedupedSlots:  st.DedupedSlots,
-		ResumeHits:    st.ResumeHits,
 		LastChunkSize: st.LastChunkSize,
 	}
 }
